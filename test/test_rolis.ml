@@ -817,6 +817,75 @@ let test_fixed_golden_tpcc () =
   check_fixed_golden "tpcc" cfg app ~duration:(200 * ms)
     ~golden:(42171, 46192, 12748870, 17246154)
 
+(* Follower-side goldens, captured before the two replay loops were folded
+   into one state machine: replay coverage, the lag samples and the exact
+   database contents of one follower must not move in either replay mode. *)
+let db_digest db =
+  let b = Buffer.create 65536 in
+  List.iter
+    (fun tbl ->
+      Buffer.add_string b (Store.Table.name tbl);
+      Store.Table.iter tbl (fun k (r : Store.Record.t) ->
+          Printf.bprintf b "|%S=%S@%d.%d%b" k r.value r.epoch r.ts r.deleted))
+    (Silo.Db.tables db);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let check_replay_golden name replay_batch ~golden =
+  let g_replayed, g_lag, g_digest = golden in
+  let workers = 4 in
+  let app =
+    Workload.Tpcc.app (Workload.Tpcc.with_warehouses Workload.Tpcc.default workers)
+  in
+  let cfg =
+    { Rolis.Config.default with Rolis.Config.workers; cores = 8; replay_batch }
+  in
+  let cluster = Rolis.Cluster.create cfg app in
+  Rolis.Cluster.run cluster ~duration:(200 * ms) ();
+  check_int (name ^ ": replayed txns") g_replayed
+    (Rolis.Cluster.replayed_txns cluster);
+  Alcotest.(check (option (triple int int int)))
+    (name ^ ": replay lag (samples, p50, p95)")
+    (Some g_lag)
+    (Rolis.Cluster.replay_lag cluster);
+  Alcotest.(check string)
+    (name ^ ": follower 1 contents")
+    g_digest
+    (db_digest (Rolis.Replica.db (Rolis.Cluster.replica cluster 1)))
+
+let test_replay_golden_pertxn () =
+  check_replay_golden "per-txn" Rolis.Config.PerTxn
+    ~golden:
+      (78550, (676, 18919254, 32647008), "10fad56c5ede44232ec1239441474f90")
+
+let test_replay_golden_bulk () =
+  check_replay_golden "bulk" Rolis.Config.Bulk
+    ~golden:
+      (79950, (678, 18919254, 31382058), "b79f5d40d46b95ec13fc6e47098a5123")
+
+(* Client-mode golden: the client-worker commit path (claim, execute,
+   submit, release-time ack) pinned by acks, releases and release p50. *)
+let test_client_golden () =
+  let stopped = ref false in
+  let accounts = 40 in
+  let cfg = { (test_cfg ~batch:10 ()) with Rolis.Config.clients = 16 } in
+  let c =
+    Rolis.Cluster.create cfg (transfer_app ~accounts ~initial:1_000 ~stopped)
+  in
+  let eng = Rolis.Cluster.engine c and net = Rolis.Cluster.network c in
+  let sessions =
+    Array.init cfg.Rolis.Config.clients (fun cid ->
+        let crng = Sim.Rng.split (Sim.Engine.rng eng) in
+        Rolis.Client.spawn net ~cfg ~cid ~stopped
+          ~gen:(fun () -> Rolis.Chaos.bank_payload crng ~accounts)
+          ())
+  in
+  Rolis.Cluster.run c ~duration:(1 * s) ();
+  let acked = Array.fold_left (fun a cl -> a + Rolis.Client.acked_count cl) 0 sessions in
+  check_int "client: acked" 304 acked;
+  check_int "client: released" 304 (Rolis.Cluster.released c);
+  check_int "client: p50" 49789055
+    (Sim.Metrics.Hist.quantile (Rolis.Cluster.latency c) 0.5)
+
 (* The acceptance criterion: at low/medium load the adaptive policy must
    cut TPC-C release latency at least 2x against the fixed default batch
    (the bench sweep shows 4-7x; assert the contractual bound). *)
@@ -2053,6 +2122,10 @@ let () =
             test_fixed_golden_counter;
           Alcotest.test_case "fixed policy golden (tpcc)" `Quick
             test_fixed_golden_tpcc;
+          Alcotest.test_case "replay golden (per-txn)" `Quick
+            test_replay_golden_pertxn;
+          Alcotest.test_case "replay golden (bulk)" `Quick test_replay_golden_bulk;
+          Alcotest.test_case "client-mode golden" `Quick test_client_golden;
           Alcotest.test_case "adaptive p50 at least 2x below fixed" `Quick
             test_adaptive_p50_win;
           Alcotest.test_case "adaptive failover conservation" `Quick
