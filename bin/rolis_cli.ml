@@ -433,51 +433,39 @@ let run_cmd =
 
 (* ---- chaos: seeded fault-injection runs ---- *)
 
-(* Re-run one seed with the nemesis debug log captured to [path], so a CI
-   failure ships the exact fault schedule as an artifact. Determinism
-   makes the re-run identical to the original failure. *)
-let dump_nemesis_log ~path ~replicas ~workers ~clients ~accounts ~duration
-    ~checkpoint_interval ~history_warmup ~ops ~spares ~follower_reads
-    ~read_lease ~wan_profile ~seed =
-  let oc = open_out path in
-  let fmt = Format.formatter_of_out_channel oc in
-  let reporter =
-    {
-      Logs.report =
-        (fun _src level ~over k msgf ->
-          msgf (fun ?header:_ ?tags:_ f ->
-              Format.kfprintf
-                (fun fmt ->
-                  Format.pp_print_newline fmt ();
-                  over ();
-                  k ())
-                fmt
-                ("[%a] " ^^ f)
-                Logs.pp_level level));
-    }
+(* Print each outcome of a chaos sweep and its verdict. A failing sweep
+   names the first failing seed and, given [nemesis_log], re-runs that
+   seed under the debug reporter so a CI failure ships the exact fault
+   schedule as an artifact. *)
+let chaos_sweep ~kind ~seeds ~nemesis_log ~reproduce ~rerun sweep =
+  let _, first_failure =
+    try sweep (fun o -> Format.printf "%a@." Rolis.Chaos.pp_outcome o)
+    with Invalid_argument msg ->
+      Printf.eprintf "chaos: invalid parameters: %s\n" msg;
+      exit 2
   in
-  let saved_reporter = Logs.reporter () and saved_level = Logs.level () in
-  Logs.set_reporter reporter;
-  Logs.set_level (Some Logs.Debug);
-  let o =
-    Rolis.Chaos.run_seed ~replicas ~workers ~clients ~accounts ~duration
-      ~checkpoint_interval ~history_warmup ~ops ~spares ~follower_reads
-      ?read_lease ~wan_profile ~seed ()
-  in
-  Format.fprintf fmt "%a@." Rolis.Chaos.pp_outcome o;
-  Logs.set_reporter saved_reporter;
-  Logs.set_level saved_level;
-  close_out oc
+  match first_failure with
+  | None -> Printf.printf "chaos: all %d %sseed(s) passed\n" seeds kind
+  | Some o ->
+      let seed = o.Rolis.Chaos.seed in
+      Printf.printf "chaos: FIRST FAILING SEED = %d (reproduce with %s --seed0 %d)\n"
+        seed reproduce seed;
+      (match nemesis_log with
+      | Some path ->
+          let oc = open_out path in
+          let fmt = Format.formatter_of_out_channel oc in
+          let o = Rolis.Chaos.with_debug_log fmt (fun () -> rerun seed) in
+          Format.fprintf fmt "%a@." Rolis.Chaos.pp_outcome o;
+          close_out oc;
+          Printf.printf "chaos: nemesis log for seed %d written to %s\n" seed path
+      | None -> ());
+      exit 1
 
 (* Sharded chaos: per-shard nemesis plans against a Shard deployment of
    bank partitions; checks add cross-shard atomicity and global
    conservation. Incompatible with the single-group-only extras. *)
 let run_sharded_chaos seeds seed0 shards cross_pct replicas workers drivers
-    accounts duration_ms verbose =
-  if verbose then begin
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.set_level (Some Logs.Debug)
-  end;
+    accounts duration_ms nemesis_log =
   let accounts_per_shard = max 8 (accounts / shards) in
   Printf.printf
     "chaos: %d sharded seed(s) starting at %d — %d shards (%.0f%% cross), \
@@ -486,93 +474,68 @@ let run_sharded_chaos seeds seed0 shards cross_pct replicas workers drivers
      %!"
     seeds seed0 shards (100.0 *. cross_pct) replicas workers drivers
     accounts_per_shard duration_ms;
-  let _, first_failure =
-    try
+  let duration = duration_ms * ms in
+  chaos_sweep ~kind:"sharded " ~seeds ~nemesis_log
+    ~reproduce:(Printf.sprintf "--shards %d --seeds 1" shards)
+    ~rerun:(fun seed ->
+      Rolis.Chaos.run_sharded_seed ~shards ~cross_pct ~replicas ~workers
+        ~drivers ~accounts_per_shard ~duration ~seed ())
+    (fun on_outcome ->
       Rolis.Chaos.run_sharded_seeds ~shards ~cross_pct ~replicas ~workers
-        ~drivers ~accounts_per_shard ~duration:(duration_ms * ms) ~seed0 ~seeds
-        ~on_outcome:(fun o -> Format.printf "%a@." Rolis.Chaos.pp_outcome o)
-        ()
-    with Invalid_argument msg ->
-      Printf.eprintf "chaos: invalid parameters: %s\n" msg;
-      exit 2
-  in
-  match first_failure with
-  | None -> Printf.printf "chaos: all %d sharded seed(s) passed\n" seeds
-  | Some o ->
-      Printf.printf
-        "chaos: FIRST FAILING SEED = %d (reproduce with --shards %d --seeds 1 \
-         --seed0 %d)\n"
-        o.Rolis.Chaos.seed shards o.Rolis.Chaos.seed;
-      exit 1
+        ~drivers ~accounts_per_shard ~duration ~seed0 ~seeds ~on_outcome ())
 
 let run_chaos seeds seed0 replicas workers clients accounts duration_ms
     ckpt_interval_ms history_warmup_ms ops spares follower_reads read_lease_us
     wan_profile shards cross_pct verbose nemesis_log =
-  if shards > 1 then begin
-    if ops || follower_reads || ckpt_interval_ms > 0 then begin
-      Printf.eprintf
-        "chaos: --shards is incompatible with --ops, --follower-reads and \
-         --checkpoint-interval (checkpoint truncation would drop \
-         decision-carrying slots the cross-shard oracle needs)\n";
-      exit 2
-    end;
-    run_sharded_chaos seeds seed0 shards cross_pct replicas workers clients
-      accounts duration_ms verbose;
-    exit 0
+  if shards > 1 && (ops || follower_reads || ckpt_interval_ms > 0) then begin
+    Printf.eprintf
+      "chaos: --shards is incompatible with --ops, --follower-reads and \
+       --checkpoint-interval (checkpoint truncation would drop \
+       decision-carrying slots the cross-shard oracle needs)\n";
+    exit 2
   end;
   if verbose then begin
     Logs.set_reporter (Logs.format_reporter ());
     Logs.set_level (Some Logs.Debug)
   end;
-  Printf.printf
-    "chaos: %d seed(s) starting at %d — %d replicas, %d workers, %d clients, \
-     %d accounts, %d ms of faults per seed%s%s\n\
-     %!"
-    seeds seed0 replicas workers clients accounts duration_ms
-    (if ckpt_interval_ms > 0 then
-       Printf.sprintf ", checkpoints every %d ms (+%d ms history warm-up)"
-         ckpt_interval_ms history_warmup_ms
-     else "")
-    (if ops then
-       Printf.sprintf ", rolling operations over %d spare slot(s)" spares
-     else "");
-  if follower_reads then
-    Printf.printf "chaos: follower reads ON%s%s\n%!"
-      (if read_lease_us > 0 then Printf.sprintf " (lease %d us)" read_lease_us
+  if shards > 1 then
+    run_sharded_chaos seeds seed0 shards cross_pct replicas workers clients
+      accounts duration_ms nemesis_log
+  else begin
+    Printf.printf
+      "chaos: %d seed(s) starting at %d — %d replicas, %d workers, %d clients, \
+       %d accounts, %d ms of faults per seed%s%s\n\
+       %!"
+      seeds seed0 replicas workers clients accounts duration_ms
+      (if ckpt_interval_ms > 0 then
+         Printf.sprintf ", checkpoints every %d ms (+%d ms history warm-up)"
+           ckpt_interval_ms history_warmup_ms
        else "")
-      (if wan_profile <> "" then Printf.sprintf ", WAN profile %s" wan_profile
+      (if ops then
+         Printf.sprintf ", rolling operations over %d spare slot(s)" spares
        else "");
-  let duration = duration_ms * ms in
-  let checkpoint_interval = ckpt_interval_ms * ms in
-  let history_warmup = history_warmup_ms * ms in
-  let read_lease =
-    if read_lease_us > 0 then Some (read_lease_us * Sim.Engine.us) else None
-  in
-  let _, first_failure =
-    try
-      Rolis.Chaos.run_seeds ~replicas ~workers ~clients ~accounts ~duration
-        ~checkpoint_interval ~history_warmup ~ops ~spares ~follower_reads
-        ?read_lease ~wan_profile ~seed0 ~seeds
-        ~on_outcome:(fun o -> Format.printf "%a@." Rolis.Chaos.pp_outcome o)
-        ()
-    with Invalid_argument msg ->
-      Printf.eprintf "chaos: invalid parameters: %s\n" msg;
-      exit 2
-  in
-  match first_failure with
-  | None -> Printf.printf "chaos: all %d seed(s) passed\n" seeds
-  | Some o ->
-      let seed = o.Rolis.Chaos.seed in
-      Printf.printf "chaos: FIRST FAILING SEED = %d (reproduce with --seeds 1 --seed0 %d)\n"
-        seed seed;
-      (match nemesis_log with
-      | Some path ->
-          dump_nemesis_log ~path ~replicas ~workers ~clients ~accounts ~duration
-            ~checkpoint_interval ~history_warmup ~ops ~spares ~follower_reads
-            ~read_lease ~wan_profile ~seed;
-          Printf.printf "chaos: nemesis log for seed %d written to %s\n" seed path
-      | None -> ());
-      exit 1
+    if follower_reads then
+      Printf.printf "chaos: follower reads ON%s%s\n%!"
+        (if read_lease_us > 0 then Printf.sprintf " (lease %d us)" read_lease_us
+         else "")
+        (if wan_profile <> "" then Printf.sprintf ", WAN profile %s" wan_profile
+         else "");
+    let duration = duration_ms * ms in
+    let checkpoint_interval = ckpt_interval_ms * ms in
+    let history_warmup = history_warmup_ms * ms in
+    let read_lease =
+      if read_lease_us > 0 then Some (read_lease_us * Sim.Engine.us) else None
+    in
+    chaos_sweep ~kind:"" ~seeds ~nemesis_log ~reproduce:"--seeds 1"
+      ~rerun:(fun seed ->
+        Rolis.Chaos.run_seed ~replicas ~workers ~clients ~accounts ~duration
+          ~checkpoint_interval ~history_warmup ~ops ~spares ~follower_reads
+          ?read_lease ~wan_profile ~seed ())
+      (fun on_outcome ->
+        Rolis.Chaos.run_seeds ~replicas ~workers ~clients ~accounts ~duration
+          ~checkpoint_interval ~history_warmup ~ops ~spares ~follower_reads
+          ?read_lease ~wan_profile ~seed0 ~seeds ~on_outcome ())
+  end
 
 let seeds_arg = Arg.(value & opt int 20 & info [ "seeds" ] ~doc:"Number of seeds to run.")
 let seed0_arg = Arg.(value & opt int 1 & info [ "seed0" ] ~doc:"First seed.")

@@ -147,6 +147,50 @@ let pp_outcome fmt o =
 let chaos_costs =
   { Silo.Costs.default with Silo.Costs.txn_begin_ns = 50_000; abort_ns = 5_000 }
 
+(* Quiesce, once the caller has stopped the workload: heal every network
+   and clear its faults, revive stragglers the plan's own quiesce tail may
+   have missed — but only nodes that are still part of the deployment:
+   decommissioned voters and dark spare slots must stay down — and run
+   500 ms. Then rebuild tainted ex-leaders, which hold speculative writes
+   that were never released, so the convergence check covers every
+   replica. Finally drain: heartbeat no-ops push the watermark past the
+   last real transaction and followers finish replay. *)
+let quiesce clusters ~run ~restarts =
+  let restart_if cluster pred =
+    let in_deployment i =
+      List.mem i (Cluster.members cluster) || List.mem i (Cluster.learners cluster)
+    in
+    Array.iter
+      (fun r ->
+        if in_deployment (Replica.id r) && pred r then begin
+          incr restarts;
+          Cluster.restart_replica cluster (Replica.id r)
+        end)
+      (Cluster.replicas cluster)
+  in
+  Array.iter
+    (fun cluster ->
+      let net = Cluster.network cluster in
+      Sim.Net.heal_all net;
+      Sim.Net.clear_faults net;
+      restart_if cluster (fun r -> not (Replica.is_alive r)))
+    clusters;
+  run (500 * ms);
+  Array.iter (fun cluster -> restart_if cluster Replica.is_tainted) clusters;
+  run (2_500 * ms)
+
+(* Highest epoch any alive replica of [clusters] has reached. *)
+let max_epoch clusters =
+  Array.fold_left
+    (fun m cluster ->
+      Array.fold_left
+        (fun m r ->
+          if Replica.is_alive r then
+            max m (Paxos.Election.epoch (Replica.election r))
+          else m)
+        m (Cluster.replicas cluster))
+    0 clusters
+
 let run_seed ?(replicas = 3) ?(workers = 4) ?(clients = 8) ?(accounts = 48)
     ?(duration = 3 * Sim.Engine.s) ?(checkpoint_interval = 0)
     ?(history_warmup = 0) ?(ops = false) ?(spares = 2)
@@ -262,38 +306,9 @@ let run_seed ?(replicas = 3) ?(workers = 4) ?(clients = 8) ?(accounts = 48)
            ~on_step:(fun a -> Log.debug (fun m -> m "nemesis: %a" Sim.Fault.pp_action a))
            plan);
       Cluster.run cluster ~duration ();
-      (* Quiesce: stop the workload, heal everything, revive stragglers the
-         plan's own quiesce tail may have missed — but only nodes that are
-         still part of the deployment: decommissioned voters and dark
-         spare slots must stay down. *)
       stopped := true;
-      Sim.Net.heal_all net;
-      Sim.Net.clear_faults net;
-      let in_deployment i =
-        List.mem i (Cluster.members cluster)
-        || List.mem i (Cluster.learners cluster)
-      in
-      Array.iter
-        (fun r ->
-          if in_deployment (Replica.id r) && not (Replica.is_alive r) then begin
-            incr restarts;
-            Cluster.restart_replica cluster (Replica.id r)
-          end)
-        (Cluster.replicas cluster);
-      Cluster.run cluster ~duration:(500 * ms) ();
-      (* Tainted ex-leaders hold speculative writes that were never
-         released; rebuild them so the convergence check covers every
-         replica. *)
-      Array.iter
-        (fun r ->
-          if in_deployment (Replica.id r) && Replica.is_tainted r then begin
-            incr restarts;
-            Cluster.restart_replica cluster (Replica.id r)
-          end)
-        (Cluster.replicas cluster);
-      (* Drain: heartbeat no-ops push the watermark past the last real
-         transaction; followers finish replay. *)
-      Cluster.run cluster ~duration:(2_500 * ms) ();
+      quiesce [| cluster |] ~restarts ~run:(fun duration ->
+          Cluster.run cluster ~duration ());
       let acked =
         Array.to_list sessions |> List.concat_map Client.acked_seqs
       in
@@ -315,13 +330,7 @@ let run_seed ?(replicas = 3) ?(workers = 4) ?(clients = 8) ?(accounts = 48)
         };
       ]
   in
-  let epochs =
-    Array.fold_left
-      (fun m r ->
-        if Replica.is_alive r then max m (Paxos.Election.epoch (Replica.election r))
-        else m)
-      0 (Cluster.replicas cluster)
-  in
+  let epochs = max_epoch [| cluster |] in
   let sum f = Array.fold_left (fun acc c -> acc + f c) 0 sessions in
   let rsum f = Array.fold_left (fun acc c -> acc + f c) 0 read_sessions in
   {
@@ -449,35 +458,10 @@ let run_sharded_seed ?(shards = 2) ?(cross_pct = 0.2) ?(replicas = 3)
                plan))
         clusters;
       Shard.run dep ~duration ();
-      (* Quiesce: freeze the drivers (each finishes its in-flight 2PC),
-         heal every shard's network, revive stragglers and tainted
-         ex-leaders, then drain replay everywhere. *)
-      let drivers_idled = Shard.quiesce dep in
-      Array.iter
-        (fun cluster ->
-          let net = Cluster.network cluster in
-          Sim.Net.heal_all net;
-          Sim.Net.clear_faults net;
-          Array.iter
-            (fun r ->
-              if not (Replica.is_alive r) then begin
-                incr restarts;
-                Cluster.restart_replica cluster (Replica.id r)
-              end)
-            (Cluster.replicas cluster))
-        clusters;
-      Shard.run dep ~duration:(500 * ms) ();
-      Array.iter
-        (fun cluster ->
-          Array.iter
-            (fun r ->
-              if Replica.is_tainted r then begin
-                incr restarts;
-                Cluster.restart_replica cluster (Replica.id r)
-              end)
-            (Cluster.replicas cluster))
-        clusters;
-      Shard.run dep ~duration:(2_500 * ms) ();
+      (* Freeze the drivers (each finishes its in-flight 2PC), then quiesce
+         every shard. *)
+      ignore (Shard.quiesce dep);
+      quiesce clusters ~restarts ~run:(fun duration -> Shard.run dep ~duration ());
       let stuck =
         if Shard.quiesce ~timeout:(5 * Sim.Engine.s) dep then []
         else
@@ -489,7 +473,6 @@ let run_sharded_seed ?(shards = 2) ?(cross_pct = 0.2) ?(replicas = 3)
               };
           ]
       in
-      ignore drivers_idled;
       let per_shard =
         Array.to_list
           (Array.mapi
@@ -509,17 +492,7 @@ let run_sharded_seed ?(shards = 2) ?(cross_pct = 0.2) ?(replicas = 3)
     with exn ->
       [ { Check.check = "exception"; detail = Printexc.to_string exn } ]
   in
-  let epochs =
-    Array.fold_left
-      (fun m cluster ->
-        Array.fold_left
-          (fun m r ->
-            if Replica.is_alive r then
-              max m (Paxos.Election.epoch (Replica.election r))
-            else m)
-          m (Cluster.replicas cluster))
-      0 clusters
-  in
+  let epochs = max_epoch clusters in
   {
     seed;
     violations;
@@ -560,32 +533,55 @@ let run_sharded_seed ?(shards = 2) ?(cross_pct = 0.2) ?(replicas = 3)
     cross_aborted = Shard.cross_aborted dep;
   }
 
-let run_sharded_seeds ?shards ?cross_pct ?replicas ?workers ?drivers
-    ?accounts_per_shard ?duration ?(seed0 = 1) ?on_outcome ~seeds () =
+(* Run [seeds] consecutive seeds from [seed0]; also return the first
+   failing outcome. *)
+let seed_loop ~seed0 ?on_outcome ~seeds run =
   let outcomes = ref [] in
   for i = 0 to seeds - 1 do
-    let o =
-      run_sharded_seed ?shards ?cross_pct ?replicas ?workers ?drivers
-        ?accounts_per_shard ?duration ~seed:(seed0 + i) ()
-    in
+    let o = run (seed0 + i) in
     (match on_outcome with Some f -> f o | None -> ());
     outcomes := o :: !outcomes
   done;
   let outcomes = List.rev !outcomes in
   (outcomes, List.find_opt (fun o -> not (ok o)) outcomes)
 
+let run_sharded_seeds ?shards ?cross_pct ?replicas ?workers ?drivers
+    ?accounts_per_shard ?duration ?(seed0 = 1) ?on_outcome ~seeds () =
+  seed_loop ~seed0 ?on_outcome ~seeds (fun seed ->
+      run_sharded_seed ?shards ?cross_pct ?replicas ?workers ?drivers
+        ?accounts_per_shard ?duration ~seed ())
+
 let run_seeds ?replicas ?workers ?clients ?accounts ?duration ?checkpoint_interval
     ?history_warmup ?ops ?spares ?follower_reads ?read_clients ?read_lease
     ?wan_profile ?(seed0 = 1) ?on_outcome ~seeds () =
-  let outcomes = ref [] in
-  for i = 0 to seeds - 1 do
-    let o =
+  seed_loop ~seed0 ?on_outcome ~seeds (fun seed ->
       run_seed ?replicas ?workers ?clients ?accounts ?duration
         ?checkpoint_interval ?history_warmup ?ops ?spares ?follower_reads
-        ?read_clients ?read_lease ?wan_profile ~seed:(seed0 + i) ()
-    in
-    (match on_outcome with Some f -> f o | None -> ());
-    outcomes := o :: !outcomes
-  done;
-  let outcomes = List.rev !outcomes in
-  (outcomes, List.find_opt (fun o -> not (ok o)) outcomes)
+        ?read_clients ?read_lease ?wan_profile ~seed ())
+
+(* Run [f] with every log source at debug level, reporting to [fmt]: how a
+   failing seed is re-run to capture its full nemesis schedule (the
+   [plan:] and [nemesis:] lines) as an artifact. Determinism makes the
+   re-run identical to the original failure. *)
+let with_debug_log fmt f =
+  let reporter =
+    {
+      Logs.report =
+        (fun _src level ~over k msgf ->
+          msgf (fun ?header:_ ?tags:_ m ->
+              Format.kfprintf
+                (fun fmt ->
+                  Format.pp_print_newline fmt ();
+                  over ();
+                  k ())
+                fmt
+                ("[%a] " ^^ m)
+                Logs.pp_level level));
+    }
+  in
+  let saved_reporter = Logs.reporter () and saved_level = Logs.level () in
+  Logs.set_reporter reporter;
+  Logs.set_level (Some Logs.Debug);
+  Fun.protect f ~finally:(fun () ->
+      Logs.set_reporter saved_reporter;
+      Logs.set_level saved_level)

@@ -192,3 +192,10 @@ val run_sharded_seeds :
   outcome list * outcome option
 (** {!run_sharded_seed} over [seed0 .. seed0 + seeds - 1]; same contract
     as {!run_seeds}. *)
+
+val with_debug_log : Format.formatter -> (unit -> 'a) -> 'a
+(** [with_debug_log fmt f] runs [f] with every log source at debug level,
+    reporting to [fmt], and restores the previous reporter and level
+    afterwards. Re-running a failing seed under it captures the seed's
+    nemesis schedule: one [plan:] line per fault plan (one per shard in a
+    sharded run) and one [nemesis:] line per fault action. *)

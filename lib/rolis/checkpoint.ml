@@ -26,15 +26,19 @@ type replica_image = {
 let size_bytes img = img.bytes
 let row_count img = img.rows
 
+(* The modeled checkpoint hardware (§7): writer/loader threads striping
+   tables across one shared disk of this bandwidth. *)
+let threads = 4
+let disk_mb_per_s = 500
+
 (* Shared, bandwidth-limited disk: each writer holds the disk for the
    transfer time of its burst. *)
-let disk_time ~disk_mb_per_s ~bytes =
+let disk_time ~bytes =
   int_of_float (float_of_int bytes *. 1e9 /. (float_of_int disk_mb_per_s *. 1e6))
 
 let row_bytes r = 16 + String.length r.r_key + String.length r.r_value
 
-let write db ?(threads = 4) ?(disk_mb_per_s = 500) ?(rows_per_yield = 512)
-    ?(live_only = true) () =
+let write db ?(rows_per_yield = 512) ?(live_only = true) () =
   let eng = Silo.Db.engine db in
   let cpu = Silo.Db.cpu db in
   let costs = Silo.Db.costs db in
@@ -76,7 +80,7 @@ let write db ?(threads = 4) ?(disk_mb_per_s = 500) ?(rows_per_yield = 512)
                    done;
                    Sim.Cpu.consume cpu ((upto - !pos) * costs.Silo.Costs.read_ns);
                    Sim.Sync.Mutex.lock disk;
-                   Sim.Engine.sleep (disk_time ~disk_mb_per_s ~bytes:!bytes);
+                   Sim.Engine.sleep (disk_time ~bytes:!bytes);
                    Sim.Sync.Mutex.unlock disk;
                    pos := upto
                  done;
@@ -145,13 +149,13 @@ let install ~into img =
    Matches what a [recover] run charges, without requiring the caller to
    block through it — {!Replica} installs state synchronously and pays
    this as an ineligibility window instead. *)
-let load_cost ~costs ?(threads = 4) ?(disk_mb_per_s = 500) img =
+let load_cost ~costs img =
   let cpu_ns =
     img.rows * (costs.Silo.Costs.write_ns + costs.Silo.Costs.read_ns)
   in
-  disk_time ~disk_mb_per_s ~bytes:img.bytes + (cpu_ns / max 1 threads)
+  disk_time ~bytes:img.bytes + (cpu_ns / threads)
 
-let recover ~into ?(threads = 4) ?(disk_mb_per_s = 500) img =
+let recover ~into img =
   let eng = Silo.Db.engine into in
   let cpu = Silo.Db.cpu into in
   let costs = Silo.Db.costs into in
@@ -186,7 +190,7 @@ let recover ~into ?(threads = 4) ?(disk_mb_per_s = 500) img =
                           t_rows = Array.sub t.t_rows !pos (upto - !pos);
                         });
                    Sim.Sync.Mutex.lock disk;
-                   Sim.Engine.sleep (disk_time ~disk_mb_per_s ~bytes:!bytes);
+                   Sim.Engine.sleep (disk_time ~bytes:!bytes);
                    Sim.Sync.Mutex.unlock disk;
                    Sim.Cpu.consume cpu
                      ((upto - !pos)

@@ -44,21 +44,16 @@ type replica_image = {
 val size_bytes : image -> int
 val row_count : image -> int
 
-val disk_time : disk_mb_per_s:int -> bytes:int -> int
-(** Transfer time (ns) of [bytes] through the modeled disk. *)
+val disk_time : bytes:int -> int
+(** Transfer time (ns) of [bytes] through the modeled disk: one shared
+    500 MB/s device that every checkpoint writer and loader contends
+    for. *)
 
-val write :
-  Silo.Db.t ->
-  ?threads:int ->
-  ?disk_mb_per_s:int ->
-  ?rows_per_yield:int ->
-  ?live_only:bool ->
-  unit ->
-  image
-(** Scan every table with [threads] checkpointer processes (tables are
-    striped across them), charging scan CPU and sharing [disk_mb_per_s]
-    of write bandwidth. Must run inside a simulation process; virtual
-    time advances by the checkpoint duration.
+val write : Silo.Db.t -> ?rows_per_yield:int -> ?live_only:bool -> unit -> image
+(** Scan every table with four checkpointer processes (tables are striped
+    across them), charging scan CPU and sharing the disk's write
+    bandwidth. Must run inside a simulation process; virtual time advances
+    by the checkpoint duration.
 
     [live_only] (default true) skips tombstones, matching what a
     single-machine restart needs. Replica checkpoints pass [false]: a
@@ -73,20 +68,14 @@ val install : into:Silo.Db.t -> image -> int
     newer state (or concurrently with tail replay) never regresses a
     write. Returns how many rows actually installed. *)
 
-val load_cost :
-  costs:Silo.Costs.t -> ?threads:int -> ?disk_mb_per_s:int -> image -> int
+val load_cost : costs:Silo.Costs.t -> image -> int
 (** Virtual-time cost (ns) a {!recover} of this image would take: disk
     transfer (serialized, bandwidth-limited) plus per-row index-rebuild
-    CPU divided across [threads]. {!Replica} installs instantly via
+    CPU divided across the four loader processes. {!Replica} installs instantly via
     {!install} and stays election-ineligible for this long instead. *)
 
-val recover :
-  into:Silo.Db.t ->
-  ?threads:int ->
-  ?disk_mb_per_s:int ->
-  image ->
-  unit
+val recover : into:Silo.Db.t -> image -> unit
 (** Read the checkpoint back (disk bandwidth) and rebuild the database
-    (bulk sorted apply per burst) with [threads] loader processes.
+    (bulk sorted apply per burst) with four loader processes.
     [into] must be a fresh database with no application tables; they are
     created on demand. Must run inside a simulation process. *)

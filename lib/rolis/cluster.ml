@@ -506,6 +506,11 @@ let handoff t ~target =
         else skip t "handoff: transfer did not complete"
       end
 
+(* The maximum replay lag (ns) a joining learner may carry when it is
+   promoted to voter: promoting a laggard would stall every quorum behind
+   it. *)
+let learner_lag_bound = 200 * Sim.Engine.ms
+
 (* Bring pool slot [i] in as a voter: restart it as a non-voting learner,
    bootstrap it (checkpoint + tail when available), wait until its replay
    frontier trails the leader's durable frontier by at most
@@ -526,7 +531,7 @@ let add_replica t i =
       match leader t with
       | Some l ->
           Replica.durable_frontier l - Replica.replay_frontier t.replicas.(i)
-          <= t.cfg.Config.learner_lag_bound
+          <= learner_lag_bound
       | None -> false
     in
     if not (wait_until t ~deadline caught_up) then begin

@@ -126,7 +126,7 @@ val add_replica : t -> int -> bool
     learner (checkpoint + journal-tail bootstrap when available),
     register it with every replica's truncation gate, wait until its
     replay frontier trails the leader's durable frontier by at most
-    [Config.learner_lag_bound], then run the joint-consensus membership
+    200 ms of replay lag, then run the joint-consensus membership
     change (C_old,new, then C_new) that promotes it. *)
 
 val remove_replica : t -> int -> bool

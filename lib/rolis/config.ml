@@ -12,8 +12,6 @@ type t = {
   replicas : int;
   spare_replicas : int;
   min_members : int;
-  learner_lag_bound : int;
-  handoff_drain_timeout : int;
   workers : int;
   cores : int;
   stream_mode : stream_mode;
@@ -50,8 +48,6 @@ type t = {
   checkpoint_interval : int;
   checkpoint_retention : int;
   checkpoint_truncate : bool;
-  checkpoint_disk_mb_per_s : int;
-  checkpoint_threads : int;
   follower_reads : bool;
   read_lease : int;
   read_workers : int;
@@ -69,8 +65,6 @@ let default =
     replicas = 3;
     spare_replicas = 0;
     min_members = 1;
-    learner_lag_bound = 200 * Sim.Engine.ms;
-    handoff_drain_timeout = 500 * Sim.Engine.ms;
     workers = 16;
     cores = 32;
     stream_mode = Per_worker;
@@ -108,8 +102,6 @@ let default =
     checkpoint_interval = 0;
     checkpoint_retention = 3 * Sim.Engine.s;
     checkpoint_truncate = true;
-    checkpoint_disk_mb_per_s = 500;
-    checkpoint_threads = 4;
     follower_reads = false;
     read_lease = 400 * Sim.Engine.ms;
     read_workers = 2;
@@ -152,18 +144,6 @@ let validate t =
           reconfiguration floor and no remove-replica operation could ever \
           have been responsible for it"
          t.min_members t.replicas);
-  if t.learner_lag_bound <= 0 then
-    invalid_arg
-      "Config: learner_lag_bound must be positive — it is the maximum \
-       replay lag (ns) a catching-up learner may carry before being \
-       promoted to voter; a zero or negative bound could promote a learner \
-       that would immediately stall quorums (or never promote at all)";
-  if t.handoff_drain_timeout <= 0 then
-    invalid_arg
-      "Config: handoff_drain_timeout must be positive — a planned leader \
-       handoff waits this long (ns) for in-flight proposals to drain \
-       before transferring; without a positive bound a wedged stream would \
-       block the handoff forever";
   if t.workers < 1 then invalid_arg "Config: need at least one worker";
   if t.cores < 1 then invalid_arg "Config: need at least one core";
   if t.batch_size < 1 then invalid_arg "Config: batch_size must be >= 1";
@@ -248,11 +228,7 @@ let validate t =
             are never dropped, and a follower that lags further than \
             election_timeout is treated as failed and rebuilds from a \
             checkpoint anyway; raise checkpoint_retention"
-           t.checkpoint_retention t.election_timeout);
-    if t.checkpoint_disk_mb_per_s < 1 then
-      invalid_arg "Config: checkpoint_disk_mb_per_s must be >= 1";
-    if t.checkpoint_threads < 1 then
-      invalid_arg "Config: checkpoint_threads must be >= 1"
+           t.checkpoint_retention t.election_timeout)
   end;
   if t.follower_reads then begin
     if t.read_lease <= 0 then

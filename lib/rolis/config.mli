@@ -26,17 +26,20 @@ type batch_policy =
           notifications drive the release pass directly instead of
           waiting for the watermark tick *)
 
+(** Both modes run the same follower replay state machine (§4.1); they
+    differ only in how a blocked replay thread waits and in how an
+    applicable entry is applied. *)
 type replay_batch =
   | PerTxn
       (** the paper's replay loop: one small CAS transaction per replayed
-          write-set, polled on the watermark tick — bit-identical to the
-          original follower pipeline *)
+          write-set; a blocked thread sleeps one watermark tick —
+          bit-identical to the original follower pipeline *)
   | Bulk
       (** follower fast path: each durable entry's write-sets are merged
           (last-writer-wins), sorted by (table, key) and applied through
-          a B-tree cursor sweep with one CPU charge per entry; replay
-          threads wake on enqueue/watermark events instead of polling,
-          so replay latency no longer floors at [watermark_interval] *)
+          a B-tree cursor sweep with one CPU charge per entry; a blocked
+          thread parks until an enqueue or watermark event wakes it, so
+          replay latency no longer floors at [watermark_interval] *)
 
 val max_txn_bytes : int
 (** Conservative wire-size bound on the largest TPC-C transaction;
@@ -53,14 +56,6 @@ type t = {
   min_members : int;
       (** reconfiguration floor: remove-replica refuses to shrink the
           voting membership below this (>= 1) *)
-  learner_lag_bound : int;
-      (** ns; a joining node stays a non-voting learner until its replay
-          frontier is within this bound of the leader's durable frontier —
-          promoting a laggard would stall every quorum behind it *)
-  handoff_drain_timeout : int;
-      (** ns; planned leader handoff waits at most this long for in-flight
-          proposals to drain before granting the target immediate
-          candidacy *)
   workers : int;  (** database worker threads per replica *)
   cores : int;  (** CPU cores per machine *)
   stream_mode : stream_mode;
@@ -146,10 +141,6 @@ type t = {
       (** drive {!Paxos.Stream} journal truncation from quorum-stable
           checkpoints (the [--no-truncate] ablation keeps checkpoints but
           retains the full journal) *)
-  checkpoint_disk_mb_per_s : int;
-      (** modeled bandwidth of the shared checkpoint disk *)
-  checkpoint_threads : int;
-      (** checkpoint writer threads striping tables across the disk *)
   follower_reads : bool;
       (** serve read-only client sessions from watermark-pinned snapshots
           on every lease-holding replica (followers at their replayed

@@ -45,12 +45,6 @@ type t = {
      enqueue/dequeue: admission control reads it per client request, so
      the O(streams) fold was on the hot path. *)
   mutable backlog : int;
-  (* Watermark-state generation: bumped on every durability commit and on
-     controller-observed watermark/epoch advances. The per-transaction
-     replay loop memoizes its seal probe against it — an unsealed
-     straddling entry re-checks [Watermark.final_watermark] only after the
-     state could actually have moved, not on every poll tick. *)
-  mutable wm_gen : int;
   (* Event-driven replay (Bulk mode): per-stream wakeup generation +
      mailbox, same shape as the batcher's generation-guarded deadline. A
      signal bumps the generation and posts at most one poke; the replay
@@ -67,7 +61,7 @@ type t = {
      advances before the (yielding) apply runs and so may claim entries
      whose writes are still in flight — a fuzzy checkpoint stamping its
      cover from [applied_ts] could advertise coverage it does not have.
-     These move only after [apply_entry]/[apply_entry_bulk] return. *)
+     These move only after [apply_entry] returns. *)
   safe_ts : int array;
   safe_idx : int array;
   (* Event-driven release (Adaptive policy): last watermark a release
@@ -212,6 +206,17 @@ let leader_hint t =
   | Some l when l <> t.rid -> Some l
   | Some _ | None -> t.handoff_target
 
+(* Dispositions that answer a client without executing anything. *)
+let reply_redirect t ~cid ~seq =
+  Stats.note_redirect t.stats;
+  Trace.note_disposition t.trace Trace.Redirect;
+  client_reply t ~cid ~seq (Paxos.Msg.Not_leader { hint = leader_hint t })
+
+let reply_read_parked t ~cid ~seq =
+  Stats.note_read_parked t.stats;
+  Trace.note_disposition t.trace Trace.Busy;
+  client_reply t ~cid ~seq Paxos.Msg.Busy
+
 (* Admission control: shed load instead of queueing without bound (§5's
    speculative-memory concern, seen from the client side). *)
 let overloaded t =
@@ -221,43 +226,42 @@ let overloaded t =
        (fun q -> Queue.length q >= t.cfg.Config.admission_max_release)
        t.release_queues
 
-(* Dispatcher-side triage of a client request. The session table is
-   consulted *before* execution: a retry of a released seq is answered
-   from cache; a retry of an in-flight seq is dropped (the release pass
-   will ack it); anything new passes admission control and queues for a
-   worker. *)
+(* Session triage of a request on a serving replica, run by the dispatcher
+   and again by the worker that claims it: a retry of a released seq is
+   answered from cache; a retry of an in-flight seq is dropped (the release
+   pass will ack it); during a planned handoff new work goes to the
+   designated successor while in-flight work keeps releasing. [true] means
+   the request is new work. *)
+let triage_new t sess ~cid ~seq =
+  if seq <= sess.s_released then begin
+    Stats.note_cached_reply t.stats;
+    Trace.note_disposition t.trace Trace.Cached;
+    client_reply t ~cid ~seq Paxos.Msg.Ok_released;
+    false
+  end
+  else if seq <= sess.s_claimed then begin
+    if seq = sess.s_aborted then client_reply t ~cid ~seq Paxos.Msg.Aborted;
+    false
+  end
+  else if t.draining then begin
+    reply_redirect t ~cid ~seq;
+    false
+  end
+  else true
+
+(* Dispatcher-side triage of a client request: the session table is
+   consulted *before* execution, and anything new passes admission control
+   and queues for a worker. *)
 let handle_client_req t ~cid ~seq ~payload =
   Stats.note_client_request t.stats;
-  if not (t.serving && t.alive) then begin
-    Stats.note_redirect t.stats;
-    Trace.note_disposition t.trace Trace.Redirect;
-    client_reply t ~cid ~seq (Paxos.Msg.Not_leader { hint = leader_hint t })
-  end
-  else begin
-    let s = session t cid in
-    if seq <= s.s_released then begin
-      Stats.note_cached_reply t.stats;
-      Trace.note_disposition t.trace Trace.Cached;
-      client_reply t ~cid ~seq Paxos.Msg.Ok_released
-    end
-    else if seq <= s.s_claimed then begin
-      if seq = s.s_aborted then client_reply t ~cid ~seq Paxos.Msg.Aborted
-      (* else: executing or awaiting the watermark; release will ack. *)
-    end
-    else if t.draining then begin
-      (* Planned handoff: in-flight work keeps releasing, but new work
-         goes to the designated successor. *)
-      Stats.note_redirect t.stats;
-      Trace.note_disposition t.trace Trace.Redirect;
-      client_reply t ~cid ~seq (Paxos.Msg.Not_leader { hint = leader_hint t })
-    end
-    else if overloaded t then begin
+  if not (t.serving && t.alive) then reply_redirect t ~cid ~seq
+  else if triage_new t (session t cid) ~cid ~seq then
+    if overloaded t then begin
       Stats.note_busy_reply t.stats;
       Trace.note_disposition t.trace Trace.Busy;
       client_reply t ~cid ~seq Paxos.Msg.Busy
     end
     else Sim.Sync.Mailbox.send t.client_q (cid, seq, payload)
-  end
 
 let drop_speculative t =
   Array.iter
@@ -283,19 +287,40 @@ let stop_serving t =
     drop_speculative t
   end
 
+(* A worker process holds a core only while it has work. *)
+let set_active t active w on =
+  if active.(w) <> on then begin
+    if on then Sim.Cpu.register t.cpu else Sim.Cpu.unregister t.cpu;
+    active.(w) <- on
+  end
+
+(* The commit-submit path of both worker kinds: hand a committed
+   transaction to its stream's batcher and queue its release record. Append
+   and release record happen atomically (same event as the commit), so
+   stream timestamps stay monotone. *)
+let submit_committed t w ~start ~req ~ts ~dec (r : _ Silo.Db.result) =
+  let s = stream_of_worker t w in
+  Stats.note_executed t.stats;
+  let txn_log = { Store.Wire.ts; req; decision = dec; writes = r.Silo.Db.log } in
+  let bytes = Store.Wire.txn_byte_size txn_log in
+  let tok = Trace.sample t.trace ~worker:w ~ts ~exec_start:start in
+  Batcher.submit t.batchers.(s) txn_log;
+  Queue.add
+    { m_ts = ts; m_start = start; m_bytes = bytes; m_client = req; m_tok = tok }
+    t.release_queues.(w);
+  Stats.note_submitted t.stats ~bytes;
+  Batcher.charge_submit_cost t.batchers.(s) ~bytes;
+  match tok with Some tk -> Trace.note_serialized t.trace tk | None -> ()
+
 let worker_loop t w () =
   let gen = t.gens.(w) in
-  let s = stream_of_worker t w in
   (* Stagger worker start so per-stream batch boundaries de-phase, as
      thread drift would on real hardware; otherwise every stream flushes
      in lockstep and the watermark wait is unrealistically small. *)
   Sim.Engine.sleep (w * 1_700 * Sim.Engine.us);
   while true do
     if t.serving && t.alive && not t.draining then begin
-      if not t.worker_active.(w) then begin
-        Sim.Cpu.register t.cpu;
-        t.worker_active.(w) <- true
-      end;
+      set_active t t.worker_active w true;
       let body = gen () in
       let start = Sim.Engine.time () in
       if t.cfg.Config.networked_clients then
@@ -304,42 +329,12 @@ let worker_loop t w () =
       let dec = Silo.Db.take_decision t.db ~worker:w in
       match r.Silo.Db.tid with
       | Some tid when t.serving ->
-          Stats.note_executed t.stats;
-          let txn_log =
-            {
-              Store.Wire.ts = tid.Silo.Tid.ts;
-              req = None;
-              decision = dec;
-              writes = r.Silo.Db.log;
-            }
-          in
-          let bytes = Store.Wire.txn_byte_size txn_log in
-          let tok =
-            Trace.sample t.trace ~worker:w ~ts:tid.Silo.Tid.ts ~exec_start:start
-          in
-          (* Append + release record atomically (same event as the
-             commit), so stream timestamps stay monotone. *)
-          Batcher.submit t.batchers.(s) txn_log;
-          Queue.add
-            {
-              m_ts = tid.Silo.Tid.ts;
-              m_start = start;
-              m_bytes = bytes;
-              m_client = None;
-              m_tok = tok;
-            }
-            t.release_queues.(w);
-          Stats.note_submitted t.stats ~bytes;
-          Batcher.charge_submit_cost t.batchers.(s) ~bytes;
-          (match tok with Some tk -> Trace.note_serialized t.trace tk | None -> ())
+          submit_committed t w ~start ~req:None ~ts:tid.Silo.Tid.ts ~dec r
       | Some _ -> () (* leadership lapsed mid-transaction: speculative, dropped *)
       | None -> Stats.note_user_abort t.stats
     end
     else begin
-      if t.worker_active.(w) then begin
-        Sim.Cpu.unregister t.cpu;
-        t.worker_active.(w) <- false
-      end;
+      set_active t t.worker_active w false;
       Sim.Engine.sleep (10 * Sim.Engine.ms)
     end
   done
@@ -349,44 +344,18 @@ let worker_loop t w () =
    intervening yield relative to other claims, so duplicate requests of
    the same seq can never reach two workers. *)
 let client_worker_loop t w op () =
-  let s = stream_of_worker t w in
   Sim.Engine.sleep (w * 1_700 * Sim.Engine.us);
   while true do
     match Sim.Sync.Mailbox.recv_timeout t.client_q (10 * Sim.Engine.ms) with
-    | None ->
-        if t.worker_active.(w) then begin
-          Sim.Cpu.unregister t.cpu;
-          t.worker_active.(w) <- false
-        end
+    | None -> set_active t t.worker_active w false
     | Some (cid, seq, payload) ->
         if not (t.serving && t.alive) then begin
-          if t.alive then begin
-            Stats.note_redirect t.stats;
-            Trace.note_disposition t.trace Trace.Redirect;
-            client_reply t ~cid ~seq (Paxos.Msg.Not_leader { hint = leader_hint t })
-          end
+          if t.alive then reply_redirect t ~cid ~seq
         end
         else begin
-          if not t.worker_active.(w) then begin
-            Sim.Cpu.register t.cpu;
-            t.worker_active.(w) <- true
-          end;
+          set_active t t.worker_active w true;
           let sess = session t cid in
-          if seq <= sess.s_released then begin
-            Stats.note_cached_reply t.stats;
-            Trace.note_disposition t.trace Trace.Cached;
-            client_reply t ~cid ~seq Paxos.Msg.Ok_released
-          end
-          else if seq <= sess.s_claimed then begin
-            if seq = sess.s_aborted then client_reply t ~cid ~seq Paxos.Msg.Aborted
-          end
-          else if t.draining then begin
-            Stats.note_redirect t.stats;
-            Trace.note_disposition t.trace Trace.Redirect;
-            client_reply t ~cid ~seq
-              (Paxos.Msg.Not_leader { hint = leader_hint t })
-          end
-          else begin
+          if triage_new t sess ~cid ~seq then begin
             sess.s_claimed <- seq;
             let start = Sim.Engine.time () in
             Sim.Cpu.consume t.cpu t.cfg.Config.client_rpc_overhead;
@@ -395,35 +364,8 @@ let client_worker_loop t w op () =
             match r.Silo.Db.tid with
             | Some tid when t.serving ->
                 if seq > sess.s_applied then sess.s_applied <- seq;
-                Stats.note_executed t.stats;
-                let txn_log =
-                  {
-                    Store.Wire.ts = tid.Silo.Tid.ts;
-                    req = Some (cid, seq);
-                    decision = dec;
-                    writes = r.Silo.Db.log;
-                  }
-                in
-                let bytes = Store.Wire.txn_byte_size txn_log in
-                let tok =
-                  Trace.sample t.trace ~worker:w ~ts:tid.Silo.Tid.ts
-                    ~exec_start:start
-                in
-                Batcher.submit t.batchers.(s) txn_log;
-                Queue.add
-                  {
-                    m_ts = tid.Silo.Tid.ts;
-                    m_start = start;
-                    m_bytes = bytes;
-                    m_client = Some (cid, seq);
-                    m_tok = tok;
-                  }
-                  t.release_queues.(w);
-                Stats.note_submitted t.stats ~bytes;
-                Batcher.charge_submit_cost t.batchers.(s) ~bytes;
-                (match tok with
-                | Some tk -> Trace.note_serialized t.trace tk
-                | None -> ())
+                submit_committed t w ~start ~req:(Some (cid, seq))
+                  ~ts:tid.Silo.Tid.ts ~dec r
             | Some _ ->
                 (* Leadership lapsed mid-transaction: the write is
                    speculative and dropped with this tainted replica; the
@@ -489,55 +431,52 @@ let replay_frontier t =
 
 let durable_frontier t = t.durable_max
 
-let apply_entry ?(upto = max_int) t (entry : Store.Wire.entry) =
-  (* [upto] truncates the batch at the (final) watermark: transactions
-     with [ts <= upto] are safe — they may already have been released to
-     clients — while later ones in the same entry may depend on lost
-     transactions and must be skipped (§4.1). *)
-  if not t.cfg.Config.disable_replay then begin
-    Sim.Cpu.register t.cpu;
-    let applied = ref 0 in
-    List.iter
-      (fun (txn : Store.Wire.txn_log) ->
-        if txn.Store.Wire.ts <= upto then begin
-          rebuild_session t txn;
-          let nwrites = List.length txn.writes in
-          let sampled = Trace.sample_replay t.trace in
-          let r0 = Sim.Engine.now t.eng in
-          Silo.Db.apply_replay t.db txn ~epoch:entry.epoch ~writes:nwrites
-            ~applied;
-          if sampled then
-            Trace.note_replay t.trace ~ts:txn.Store.Wire.ts ~start:r0
-              ~stop:(Sim.Engine.now t.eng);
-          Stats.note_replayed t.stats ~txns:1 ~writes:nwrites
-        end)
-      entry.txns;
-    Sim.Cpu.unregister t.cpu
-  end
-
-(* Bulk fast path (replay_batch = Bulk): merge the whole entry's
-   write-sets (last-writer-wins per key), sort once, apply through a
+(* Apply the transactions of [entry] with [ts <= upto]: [upto] truncates
+   the batch at the (final) watermark — those transactions may already
+   have been released to clients, while later ones in the same entry may
+   depend on lost transactions and must be skipped (§4.1). [PerTxn]
+   applies transaction by transaction; [Bulk] merges the whole entry's
+   write-sets (last-writer-wins per key), sorts once and applies through a
    B-tree cursor sweep — one CPU charge, one trace span, one stats update
    per entry instead of per transaction (Rolis §5's replay headroom,
    Fig. 15). *)
-let apply_entry_bulk ?(upto = max_int) t (entry : Store.Wire.entry) =
+let apply_entry t ~upto (entry : Store.Wire.entry) =
   if not t.cfg.Config.disable_replay then begin
     Sim.Cpu.register t.cpu;
-    List.iter
-      (fun (txn : Store.Wire.txn_log) ->
-        if txn.Store.Wire.ts <= upto then rebuild_session t txn)
-      entry.txns;
-    let sampled = Trace.sample_replay t.trace in
-    let r0 = Sim.Engine.now t.eng in
-    let res =
-      Silo.Db.apply_replay_entry t.db entry
-        ~ways:t.cfg.Config.replay_parallel ~upto ()
-    in
-    if sampled then
-      Trace.note_replay t.trace ~ts:entry.Store.Wire.last_ts ~start:r0
-        ~stop:(Sim.Engine.now t.eng);
-    Stats.note_replayed t.stats ~txns:res.Silo.Db.re_txns
-      ~writes:res.Silo.Db.re_writes;
+    (match t.cfg.Config.replay_batch with
+    | Config.PerTxn ->
+        let applied = ref 0 in
+        List.iter
+          (fun (txn : Store.Wire.txn_log) ->
+            if txn.Store.Wire.ts <= upto then begin
+              rebuild_session t txn;
+              let nwrites = List.length txn.writes in
+              let sampled = Trace.sample_replay t.trace in
+              let r0 = Sim.Engine.now t.eng in
+              Silo.Db.apply_replay t.db txn ~epoch:entry.epoch ~writes:nwrites
+                ~applied;
+              if sampled then
+                Trace.note_replay t.trace ~ts:txn.Store.Wire.ts ~start:r0
+                  ~stop:(Sim.Engine.now t.eng);
+              Stats.note_replayed t.stats ~txns:1 ~writes:nwrites
+            end)
+          entry.txns
+    | Config.Bulk ->
+        List.iter
+          (fun (txn : Store.Wire.txn_log) ->
+            if txn.Store.Wire.ts <= upto then rebuild_session t txn)
+          entry.txns;
+        let sampled = Trace.sample_replay t.trace in
+        let r0 = Sim.Engine.now t.eng in
+        let res =
+          Silo.Db.apply_replay_entry t.db entry
+            ~ways:t.cfg.Config.replay_parallel ~upto ()
+        in
+        if sampled then
+          Trace.note_replay t.trace ~ts:entry.Store.Wire.last_ts ~start:r0
+            ~stop:(Sim.Engine.now t.eng);
+        Stats.note_replayed t.stats ~txns:res.Silo.Db.re_txns
+          ~writes:res.Silo.Db.re_writes);
     Sim.Cpu.unregister t.cpu
   end
 
@@ -556,130 +495,74 @@ let signal_replay_all t =
     signal_replay t s
   done
 
-let replay_loop_pertxn t s () =
+(* The follower rule (§4.1) for the head entry of stream [s]'s replay
+   queue: consume it — applying the part the rule allows — and return
+   [true], or return [false] when the queue is empty or the head must wait
+   for the watermark or the controller. *)
+let replay_step t s =
   let q = t.replay_queues.(s) in
-  let poll = t.cfg.Config.watermark_interval in
-  let pop () =
-    ignore (Queue.pop q);
-    t.backlog <- t.backlog - 1
-  in
-  (* Seal-probe memoization (see [wm_gen]): for an unsealed straddling
-     entry, re-probe [final_watermark] only after a durability event could
-     have changed the answer, instead of on every poll tick. *)
-  let seal_gen = ref (-1) in
-  while true do
-    match Queue.peek_opt q with
-    | None -> Sim.Engine.sleep poll
-    | Some (idx, entry) ->
-        let e = entry.Store.Wire.epoch in
-        if t.serving && e = t.srv_epoch then begin
+  match Queue.peek_opt q with
+  | None -> false
+  | Some (idx, entry) ->
+      let e = entry.Store.Wire.epoch in
+      let action =
+        if t.serving && e = t.srv_epoch then
           (* Our own proposals: already applied by execution. *)
-          pop ();
-          note_consumed t s entry;
-          note_applied t s ~idx entry
-        end
-        else if e < t.repoch then begin
+          `Skip
+        else if e < t.repoch then
           (* Left-over from an already-advanced epoch (defensive): apply
              only the part below that epoch's final watermark. *)
-          pop ();
+          match Watermark.final_watermark t.wm ~epoch:e with
+          | Some w -> `Apply w
+          | None -> `Skip
+        else if e > t.repoch then `Blocked (* future epoch: wait for the controller *)
+        else if entry.Store.Wire.last_ts <= t.rwm then `Apply max_int
+        else
+          match Watermark.final_watermark t.wm ~epoch:e with
+          | Some w ->
+              (* The epoch is sealed and this entry straddles its final
+                 watermark: replay the prefix with [ts <= W] (those
+                 results may already be at clients) and skip the tail,
+                 which may depend on lost transactions (Fig. 3). *)
+              `Apply w
+          | None -> `Blocked (* unsealed straddler *)
+      in
+      match action with
+      | `Blocked -> false
+      | (`Skip | `Apply _) as a ->
+          ignore (Queue.pop q);
+          t.backlog <- t.backlog - 1;
           note_consumed t s entry;
-          (match Watermark.final_watermark t.wm ~epoch:e with
-          | Some w -> apply_entry t entry ~upto:w
-          | None -> ());
-          note_applied t s ~idx entry
-        end
-        else if e = t.repoch then begin
-          if entry.Store.Wire.last_ts <= t.rwm then begin
-            pop ();
-            note_consumed t s entry;
-            apply_entry t entry;
-            note_applied t s ~idx entry
-          end
-          else if !seal_gen = t.wm_gen then Sim.Engine.sleep poll
-          else begin
-            match Watermark.final_watermark t.wm ~epoch:e with
-            | Some w ->
-                (* The epoch is sealed and this entry straddles its final
-                   watermark: replay the prefix with [ts <= W] (those
-                   results may already be at clients) and skip the tail,
-                   which may depend on lost transactions (Fig. 3). *)
-                pop ();
-                note_consumed t s entry;
-                apply_entry t entry ~upto:w;
-                note_applied t s ~idx entry
-            | None ->
-                (* Memoize only the negative probe. A successful pop must
-                   leave [seal_gen] stale so the next straddling entry on
-                   this stream re-probes under the same generation —
-                   after an epoch seals, durability events may be finite,
-                   and memoizing the hit would strand every entry after
-                   the first one. *)
-                seal_gen := t.wm_gen;
-                Sim.Engine.sleep poll
-          end
-        end
-        else Sim.Engine.sleep poll (* future epoch: wait for the controller *)
-  done
+          (match a with `Apply upto -> apply_entry t ~upto entry | `Skip -> ());
+          note_applied t s ~idx entry;
+          true
 
-(* Bulk mode: same state machine, but instead of sleeping a poll interval
-   the loop drains everything applicable and then parks on the wakeup
-   mailbox, re-draining first if the generation moved while it worked. A
-   durability commit or watermark advance wakes it immediately, so replay
-   latency no longer floors at [watermark_interval]. *)
-let replay_loop_bulk t s () =
-  let q = t.replay_queues.(s) in
-  let pop () =
-    ignore (Queue.pop q);
-    t.backlog <- t.backlog - 1
-  in
+(* Drain every applicable entry, then wait. [PerTxn] polls: it sleeps one
+   watermark tick. [Bulk] is event-driven: it parks on the wakeup mailbox —
+   unless the generation moved while it drained — so a durability commit or
+   watermark advance wakes it at once and replay latency no longer floors
+   at [watermark_interval]. *)
+let replay_loop t s () =
   while true do
     let gen = t.r_gen.(s) in
-    let continue = ref true in
-    while !continue do
-      match Queue.peek_opt q with
-      | None -> continue := false
-      | Some (idx, entry) ->
-          let e = entry.Store.Wire.epoch in
-          if t.serving && e = t.srv_epoch then begin
-            pop ();
-            note_consumed t s entry;
-            note_applied t s ~idx entry
-          end
-          else if e < t.repoch then begin
-            pop ();
-            note_consumed t s entry;
-            (match Watermark.final_watermark t.wm ~epoch:e with
-            | Some w -> apply_entry_bulk t entry ~upto:w
-            | None -> ());
-            note_applied t s ~idx entry
-          end
-          else if e = t.repoch then begin
-            if entry.Store.Wire.last_ts <= t.rwm then begin
-              pop ();
-              note_consumed t s entry;
-              apply_entry_bulk t entry;
-              note_applied t s ~idx entry
-            end
-            else
-              match Watermark.final_watermark t.wm ~epoch:e with
-              | Some w ->
-                  pop ();
-                  note_consumed t s entry;
-                  apply_entry_bulk t entry ~upto:w;
-                  note_applied t s ~idx entry
-              | None -> continue := false (* unsealed straddle: park *)
-          end
-          else continue := false (* future epoch: wait for the controller *)
+    while replay_step t s do
+      ()
     done;
-    if t.r_gen.(s) = gen then Sim.Sync.Mailbox.recv t.r_wake.(s)
+    match t.cfg.Config.replay_batch with
+    | Config.PerTxn -> Sim.Engine.sleep t.cfg.Config.watermark_interval
+    | Config.Bulk ->
+        if t.r_gen.(s) = gen then Sim.Sync.Mailbox.recv t.r_wake.(s)
   done
 
-let replay_loop t s () =
-  match t.cfg.Config.replay_batch with
-  | Config.PerTxn -> replay_loop_pertxn t s ()
-  | Config.Bulk -> replay_loop_bulk t s ()
-
 (* ---- controller: watermark, release, replay-epoch advancement ---- *)
+
+(* Raise the live replay watermark of [repoch]; [true] if it moved. *)
+let advance_rwm t =
+  match Watermark.compute t.wm ~epoch:t.repoch with
+  | Some w when w > t.rwm ->
+      t.rwm <- w;
+      true
+  | Some _ | None -> false
 
 let release_pass t =
   match Watermark.compute t.wm ~epoch:t.srv_epoch with
@@ -794,17 +677,10 @@ let handle_read_req t ~cid ~seq ~payload =
         Stats.note_read_redirect t.stats;
         Trace.note_disposition t.trace Trace.Redirect;
         client_reply t ~cid ~seq (Paxos.Msg.Not_leader { hint })
-    | None ->
-        Stats.note_read_parked t.stats;
-        Trace.note_disposition t.trace Trace.Busy;
-        client_reply t ~cid ~seq Paxos.Msg.Busy
+    | None -> reply_read_parked t ~cid ~seq
   end
   else if Sim.Sync.Mailbox.length t.read_q >= t.cfg.Config.admission_max_pending
-  then begin
-    Stats.note_read_parked t.stats;
-    Trace.note_disposition t.trace Trace.Busy;
-    client_reply t ~cid ~seq Paxos.Msg.Busy
-  end
+  then reply_read_parked t ~cid ~seq
   else Sim.Sync.Mailbox.send t.read_q (cid, seq, payload)
 
 (* Leader half of the lease protocol, called from the heartbeat tick:
@@ -846,27 +722,16 @@ let read_worker_loop t w rop () =
   Sim.Engine.sleep (w * 1_300 * Sim.Engine.us);
   while true do
     match Sim.Sync.Mailbox.recv_timeout t.read_q (10 * Sim.Engine.ms) with
-    | None ->
-        if t.read_active.(w) then begin
-          Sim.Cpu.unregister t.cpu;
-          t.read_active.(w) <- false
-        end
+    | None -> set_active t t.read_active w false
     | Some (cid, seq, payload) ->
         if not (may_serve_reads t) then begin
           (* The lease lapsed (or we were deposed) while the request sat
              queued: never serve — the snapshot could trail a newer
              leader's released writes. Park the client instead. *)
-          if t.alive then begin
-            Stats.note_read_parked t.stats;
-            Trace.note_disposition t.trace Trace.Busy;
-            client_reply t ~cid ~seq Paxos.Msg.Busy
-          end
+          if t.alive then reply_read_parked t ~cid ~seq
         end
         else begin
-          if not t.read_active.(w) then begin
-            Sim.Cpu.register t.cpu;
-            t.read_active.(w) <- true
-          end;
+          set_active t t.read_active w true;
           let start = Sim.Engine.time () in
           t.read_seen <- t.read_seen + 1;
           let eligible = (t.read_seen - 1) mod read_audit_interval = 0 in
@@ -892,10 +757,7 @@ let read_worker_loop t w rop () =
               Trace.note_read_serve t.trace ~start ~stop:(Sim.Engine.time ())
                 ~staleness:(t.durable_max - pin);
               client_reply t ~cid ~seq (Paxos.Msg.Ok_read { value })
-          | None ->
-              Stats.note_read_parked t.stats;
-              Trace.note_disposition t.trace Trace.Busy;
-              client_reply t ~cid ~seq Paxos.Msg.Busy
+          | None -> reply_read_parked t ~cid ~seq
         end
   done
 
@@ -912,13 +774,7 @@ let controller_loop t () =
        proposals and would dilute the metric. *)
     if (not t.serving) && not t.cfg.Config.disable_replay then note_lag t;
     if t.serving && not (quorum_alive t) then stop_serving t;
-    let rwm_advanced =
-      match Watermark.compute t.wm ~epoch:t.repoch with
-      | Some w when w > t.rwm ->
-          t.rwm <- w;
-          true
-      | Some _ | None -> false
-    in
+    let rwm_advanced = advance_rwm t in
     let sealed = Watermark.is_sealed t.wm ~epoch:t.repoch in
     let epoch_advanced =
       sealed
@@ -938,7 +794,6 @@ let controller_loop t () =
       end;
       drained
     in
-    if rwm_advanced || epoch_advanced then t.wm_gen <- t.wm_gen + 1;
     (* Bulk replay parks between wakeups; poke every stream whenever its
        go/no-go inputs moved (watermark or epoch advance) and as a sealed
        backstop for entries straddling the final watermark, whose apply
@@ -993,11 +848,7 @@ let checkpoint_loop t () =
         |> List.sort compare
       in
       let taken_at = Sim.Engine.now t.eng in
-      let img =
-        Checkpoint.write t.db ~threads:t.cfg.Config.checkpoint_threads
-          ~disk_mb_per_s:t.cfg.Config.checkpoint_disk_mb_per_s
-          ~live_only:false ()
-      in
+      let img = Checkpoint.write t.db ~live_only:false () in
       (* Promotion or taint mid-scan: the image may hold speculative
          writes that were never durable — discard it. *)
       if (not t.serving) && not t.tainted then begin
@@ -1098,6 +949,9 @@ let set_learners t l =
 
 (* ---- planned leader handoff ---- *)
 
+(* How long a planned handoff waits for the release queues to drain. *)
+let handoff_drain_timeout = 500 * Sim.Engine.ms
+
 (* Drain-then-transfer (Raft leadership transfer, adapted to the
    speculative pipeline): stop admitting new client work, wait for every
    release queue to empty — everything executed here is then released, so
@@ -1116,9 +970,7 @@ let begin_handoff t ~target =
     Log.debug (fun m ->
         m "replica %d draining epoch %d for handoff to %d" t.rid epoch target);
     spawn t "handoff" (fun () ->
-        let deadline =
-          Sim.Engine.now t.eng + t.cfg.Config.handoff_drain_timeout
-        in
+        let deadline = Sim.Engine.now t.eng + handoff_drain_timeout in
         Array.iter Batcher.flush t.batchers;
         let drained () = Array.for_all Queue.is_empty t.release_queues in
         while
@@ -1166,7 +1018,10 @@ let begin_handoff t ~target =
 
 (* ---- promotion (new-leader recovery, §4.1) ---- *)
 
-let seal_old_epoch t ~epoch =
+(* Flush every stream's batch and follow it with an empty transaction of
+   [epoch]: the heartbeat's watermark push (§5), and a new leader's seal of
+   the old epoch. *)
+let flush_and_noop t ~epoch =
   Array.iteri
     (fun i stream ->
       Batcher.flush t.batchers.(i);
@@ -1187,7 +1042,7 @@ let promote t ~epoch =
       done;
       if still_leading () then begin
         (* 2. Seal the old epoch with a no-op per stream. *)
-        seal_old_epoch t ~epoch;
+        flush_and_noop t ~epoch;
         (* 3. Wait until local replay drains every older epoch. *)
         while still_leading () && t.repoch < epoch do
           Sim.Engine.sleep (5 * Sim.Engine.ms)
@@ -1222,13 +1077,7 @@ let heartbeat_tick t () =
      stuck (Prepare without a promise quorum, Accepts short of a majority,
      the latest commit position). No-op on streams we do not lead. *)
   Array.iter Paxos.Stream.retransmit t.streams;
-  if t.serving then
-    Array.iteri
-      (fun i stream ->
-        Batcher.flush t.batchers.(i);
-        Paxos.Stream.propose stream
-          (Store.Wire.noop ~epoch:t.srv_epoch ~ts:(Silo.Db.next_ts t.db)))
-      t.streams;
+  if t.serving then flush_and_noop t ~epoch:t.srv_epoch;
   (* Freshness leases ride the same tick (no-op unless follower reads are
      on and we lead with quorum contact). *)
   grant_leases t
@@ -1277,7 +1126,6 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
       wm = Watermark.create ~streams:nstreams;
       replay_queues = Array.init nstreams (fun _ -> Queue.create ());
       backlog = 0;
-      wm_gen = 0;
       r_gen = Array.make nstreams 0;
       r_wake = Array.init nstreams (fun _ -> Sim.Sync.Mailbox.create eng);
       applied_ts = Array.make nstreams 0;
@@ -1387,9 +1235,7 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
         end
     | None -> ());
     Watermark.note_durable t.wm ~stream:s ~epoch:entry.epoch ~ts:entry.last_ts;
-    (* Watermark state moved: invalidate the per-txn replay loops' seal
-       memo and advance the durable frontier for follower-lag samples. *)
-    t.wm_gen <- t.wm_gen + 1;
+    (* Advance the durable frontier for follower-lag samples. *)
     if entry.Store.Wire.last_ts > t.durable_max then
       t.durable_max <- entry.Store.Wire.last_ts;
     if Trace.has_pending t.trace then
@@ -1410,14 +1256,7 @@ let create cfg eng net ~id:rid ~app ?initial_leader ?membership ?(learner = fals
        new watermark can unblock entries parked on other streams), or just
        this one for the enqueue. *)
     if cfg.Config.replay_batch = Config.Bulk then begin
-      let advanced =
-        match Watermark.compute t.wm ~epoch:t.repoch with
-        | Some w when w > t.rwm ->
-            t.rwm <- w;
-            true
-        | Some _ | None -> false
-      in
-      if advanced then signal_replay_all t else signal_replay t s
+      if advance_rwm t then signal_replay_all t else signal_replay t s
     end;
     (* Event-driven release: when this durability notification advanced
        the cluster minimum, run the release pass right here instead of
@@ -1544,10 +1383,11 @@ let crash t =
 
 let final_watermark t ~epoch = Watermark.final_watermark t.wm ~epoch
 
-(* Restart catch-up: replay the donors' journals of durable entries
-   through the protocol-level inject path. Because journals hold only
-   *durable* entries — never speculative writes — any alive replica is a
-   safe donor, leaders included.
+(* Journal rebuild, shared by restart catch-up and checkpoint bootstrap:
+   replay the donors' journals of durable entries above [cover] through the
+   protocol-level inject path. Because journals hold only *durable*
+   entries — never speculative writes — any alive replica is a safe donor,
+   leaders included.
 
    The rebuilt state must be the per-stream UNION over every alive donor,
    not one donor's journal: per-stream committed logs are prefixes of one
@@ -1563,29 +1403,33 @@ let final_watermark t ~epoch = Watermark.final_watermark t.wm ~epoch
    ordinary fetch path. Keyed by absolute stream index — under checkpoint
    truncation a donor's journal starts above zero, and the union of
    truncated journals is contiguous from the lowest retained slot (every
-   donor drops the same quorum-stable prefix). *)
-let catch_up_from t ~donors =
-  let nstreams = Array.length t.streams in
-  for s = 0 to nstreams - 1 do
-    let union = Hashtbl.create 256 in
-    List.iter
-      (fun d ->
-        List.iter
-          (fun (s', idx, e) -> if s' = s then Hashtbl.replace union idx e)
-          d.journal)
-      donors;
-    let idxs =
-      Hashtbl.fold (fun i _ acc -> i :: acc) union [] |> List.sort compare
-    in
-    (match idxs with
-    | lo :: _ when lo > 0 -> Paxos.Stream.set_bootstrap_floor t.streams.(s) ~idx:lo
-    | _ -> ());
-    List.iter
-      (fun idx ->
-        Paxos.Stream.inject_committed_at t.streams.(s) ~idx
-          (Hashtbl.find union idx))
-      idxs
-  done;
+   donor drops the same quorum-stable prefix). The stream's compaction
+   floor moves to just above an image's [cover], or with no image
+   ([cover] absent) to the lowest slot any donor still holds. *)
+let rebuild_from_journals t ?cover ~donors () =
+  Array.iteri
+    (fun s stream ->
+      let above = match cover with Some c -> c.(s) | None -> -1 in
+      let union = Hashtbl.create 256 in
+      List.iter
+        (fun d ->
+          List.iter
+            (fun (s', idx, e) ->
+              if s' = s && idx > above then Hashtbl.replace union idx e)
+            d.journal)
+        donors;
+      let idxs =
+        Hashtbl.fold (fun i _ acc -> i :: acc) union [] |> List.sort compare
+      in
+      (match (cover, idxs) with
+      | Some _, _ -> Paxos.Stream.set_bootstrap_floor stream ~idx:(above + 1)
+      | None, lo :: _ when lo > 0 -> Paxos.Stream.set_bootstrap_floor stream ~idx:lo
+      | None, _ -> ());
+      List.iter
+        (fun idx ->
+          Paxos.Stream.inject_committed_at stream ~idx (Hashtbl.find union idx))
+        idxs)
+    t.streams;
   (* Also merge every donor's accepted-but-uncommitted tail (as *accepted*
      state, never as committed — acceptance is not choice). An accepted
      slot on a survivor can be the only remaining copy of an entry that a
@@ -1601,6 +1445,9 @@ let catch_up_from t ~donors =
           Paxos.Stream.import_tail stream (Paxos.Stream.export_tail d.streams.(s)))
         t.streams)
     donors
+
+(* Restart catch-up: the whole donor journal union, no image. *)
+let catch_up_from t ~donors = rebuild_from_journals t ~donors ()
 
 (* Voluntary rebuild of an *alive* replica (a tainted ex-leader): only its
    database is suspect — its Paxos acceptor state is sound, and an
@@ -1684,34 +1531,7 @@ let bootstrap_from_checkpoint t ~ckpt ~donors =
     if f > t.durable_max then t.durable_max <- f
   done;
   let installed = Checkpoint.install ~into:t.db ckpt.Checkpoint.ri_image in
-  for s = 0 to nstreams - 1 do
-    Paxos.Stream.set_bootstrap_floor t.streams.(s) ~idx:(cover.(s) + 1);
-    let tail = Hashtbl.create 256 in
-    List.iter
-      (fun d ->
-        List.iter
-          (fun (s', idx, e) ->
-            if s' = s && idx > cover.(s) then Hashtbl.replace tail idx e)
-          d.journal)
-      donors;
-    let idxs =
-      Hashtbl.fold (fun i _ acc -> i :: acc) tail [] |> List.sort compare
-    in
-    List.iter
-      (fun idx ->
-        Paxos.Stream.inject_committed_at t.streams.(s) ~idx
-          (Hashtbl.find tail idx))
-      idxs
-  done;
-  (* Donors' accepted-but-uncommitted tails, exactly as in
-     [catch_up_from]. *)
-  List.iter
-    (fun d ->
-      Array.iteri
-        (fun s stream ->
-          Paxos.Stream.import_tail stream (Paxos.Stream.export_tail d.streams.(s)))
-        t.streams)
-    donors;
+  rebuild_from_journals t ~cover ~donors ();
   (* This image is this node's durable one; republish it so the
      coordinator need not wait for the next scan. *)
   t.last_ckpt <- Some ckpt;
@@ -1720,10 +1540,7 @@ let bootstrap_from_checkpoint t ~ckpt ~donors =
   t.ckpt_loading <- true;
   Paxos.Election.set_eligible (election t) false;
   let cost =
-    Checkpoint.load_cost ~costs:t.cfg.Config.costs
-      ~threads:t.cfg.Config.checkpoint_threads
-      ~disk_mb_per_s:t.cfg.Config.checkpoint_disk_mb_per_s
-      ckpt.Checkpoint.ri_image
+    Checkpoint.load_cost ~costs:t.cfg.Config.costs ckpt.Checkpoint.ri_image
   in
   spawn t "ckpt-load" (fun () ->
       Sim.Engine.sleep cost;

@@ -212,7 +212,7 @@ val propose_reconfig : t -> members:int list -> bool
 val begin_handoff : t -> target:int -> unit
 (** Planned leader transfer: stop admitting client work (redirecting at
     [target]), drain the release queues (bounded by
-    [Config.handoff_drain_timeout]), step down {e clean} — no taint; the
+    500 ms), step down {e clean} — no taint; the
     database is exactly the replicated prefix — and grant [target]
     immediate candidacy with [Timeout_now], so the cluster never waits
     out an election timeout. A timed-out drain still transfers but takes

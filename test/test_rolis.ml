@@ -1038,18 +1038,8 @@ let test_config_validate_checkpoint () =
     { on with Rolis.Config.archive_entries = false };
   expect_invalid "retention under election timeout"
     { on with Rolis.Config.checkpoint_retention = ok.Rolis.Config.election_timeout - 1 };
-  expect_invalid "zero disk bandwidth"
-    { on with Rolis.Config.checkpoint_disk_mb_per_s = 0 };
-  expect_invalid "zero checkpoint threads"
-    { on with Rolis.Config.checkpoint_threads = 0 };
   (* The checkpoint knobs are unconstrained while checkpointing is off. *)
-  Rolis.Config.validate
-    {
-      ok with
-      Rolis.Config.checkpoint_disk_mb_per_s = 0;
-      checkpoint_threads = 0;
-      checkpoint_retention = 0;
-    }
+  Rolis.Config.validate { ok with Rolis.Config.checkpoint_retention = 0 }
 
 let test_config_validate_replay () =
   let ok = test_cfg () in
@@ -1081,14 +1071,7 @@ let test_config_validate_reconfig () =
   expect_invalid "negative spare slots" { ok with Rolis.Config.spare_replicas = -1 };
   expect_invalid "membership floor zero" { ok with Rolis.Config.min_members = 0 };
   expect_invalid "membership floor above initial voters"
-    { ok with Rolis.Config.min_members = ok.Rolis.Config.replicas + 1 };
-  expect_invalid "learner lag bound zero" { ok with Rolis.Config.learner_lag_bound = 0 };
-  expect_invalid "negative learner lag bound"
-    { ok with Rolis.Config.learner_lag_bound = -ms };
-  expect_invalid "handoff drain timeout zero"
-    { ok with Rolis.Config.handoff_drain_timeout = 0 };
-  expect_invalid "negative handoff drain timeout"
-    { ok with Rolis.Config.handoff_drain_timeout = -ms }
+    { ok with Rolis.Config.min_members = ok.Rolis.Config.replicas + 1 }
 
 (* ---------- client sessions ---------- *)
 
@@ -1915,6 +1898,30 @@ let test_sharded_chaos_seed () =
     (o.Rolis.Chaos.cross_committed > 0);
   check_bool "faults actually fired" true (o.Rolis.Chaos.crashes > 0)
 
+(* A failing sharded seed is re-run under the debug reporter to write its
+   nemesis log; that log must carry one fault plan per shard. *)
+let test_sharded_debug_log_plans () =
+  let buf = Buffer.create 4096 in
+  let fmt = Format.formatter_of_buffer buf in
+  let o =
+    Rolis.Chaos.with_debug_log fmt (fun () ->
+        Rolis.Chaos.run_sharded_seed ~shards:2 ~duration:(500 * ms) ~seed:1 ())
+  in
+  Format.pp_print_flush fmt ();
+  let lines = String.split_on_char '\n' (Buffer.contents buf) in
+  let contains sub line =
+    let n = String.length sub in
+    let rec at i =
+      i + n <= String.length line && (String.sub line i n = sub || at (i + 1))
+    in
+    at 0
+  in
+  check_int "one plan line per shard" 2
+    (List.length (List.filter (contains "plan:") lines));
+  check_bool "nemesis actions logged" true (List.exists (contains "nemesis:") lines);
+  check_bool "reporter restored afterwards" true (Logs.level () <> Some Logs.Debug);
+  check_int "outcome records the shard count" 2 o.Rolis.Chaos.shards
+
 (* ---------- Trace ---------- *)
 
 (* Every released sampled transaction emits 6 spans; with [capacity = 8]
@@ -2190,6 +2197,8 @@ let () =
           Alcotest.test_case "coordinator crash recovers decision" `Quick
             test_shard_coordinator_crash_recovers_decision;
           Alcotest.test_case "sharded chaos seed" `Quick test_sharded_chaos_seed;
+          Alcotest.test_case "sharded seed debug log has per-shard plans" `Quick
+            test_sharded_debug_log_plans;
         ] );
       ( "trace",
         [
