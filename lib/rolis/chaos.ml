@@ -368,13 +368,14 @@ let run_seed ?(replicas = 3) ?(workers = 4) ?(clients = 8) ?(accounts = 48)
 
    Each shard is a full cluster over its own partition of the account
    space; drivers run cross-shard transfers (one-sided halves committed
-   through 2PC) at [cross_pct]. Every shard gets its own independent
-   nemesis plan, so coordinator and participant shards crash, partition
-   and fail over at uncorrelated moments — including between a prepare
-   and its decision, and between a decision and its applies. The final
-   audit layers the cross-shard oracle and *global* conservation on top
-   of every per-shard check. Checkpointing stays off: truncation could
-   drop decision-carrying slots the cross-shard oracle needs. *)
+   through 2PC, three-way splits too when [shards >= 3]) at [cross_pct].
+   Every shard gets its own independent nemesis plan, so coordinator and
+   participant shards crash, partition and fail over at uncorrelated
+   moments — including between a prepare and its decision, and between a
+   decision and its applies. The final audit layers the cross-shard
+   oracle and *global* conservation on top of every per-shard check.
+   Checkpointing stays off: truncation could drop decision-carrying slots
+   the cross-shard oracle needs. *)
 let run_sharded_seed ?(shards = 2) ?(cross_pct = 0.2) ?(replicas = 3)
     ?(workers = 4) ?(drivers = 6) ?(accounts_per_shard = 24)
     ?(duration = 2 * Sim.Engine.s) ~seed () =
@@ -420,11 +421,32 @@ let run_sharded_seed ?(shards = 2) ?(cross_pct = 0.2) ?(replicas = 3)
           in
           let blo, bhi = Router.ycsb_key_range router ~keys:accounts sb in
           let b = blo + Sim.Rng.int rng (bhi - blo + 1) in
-          Shard.Multi
-            [
-              (sa, Printf.sprintf "w %d %d" a amount);
-              (sb, Printf.sprintf "c %d %d" b amount);
-            ]
+          (* With three or more shards, half the cross transfers split the
+             withdraw into two credits on two other shards, so the
+             parallel prepare and apply fan-out runs under fire. The extra
+             draws happen only then: 2-shard sweeps stay seed-identical. *)
+          if shards >= 3 && Sim.Rng.bool rng then begin
+            let sc =
+              let x = Sim.Rng.int rng (shards - 2) in
+              let x = if x >= min sa sb then x + 1 else x in
+              if x >= max sa sb then x + 1 else x
+            in
+            let clo, chi = Router.ycsb_key_range router ~keys:accounts sc in
+            let c = clo + Sim.Rng.int rng (chi - clo + 1) in
+            let amount2 = 1 + Sim.Rng.int rng 10 in
+            Shard.Multi
+              [
+                (sa, Printf.sprintf "w %d %d" a (amount + amount2));
+                (sb, Printf.sprintf "c %d %d" b amount);
+                (sc, Printf.sprintf "c %d %d" c amount2);
+              ]
+          end
+          else
+            Shard.Multi
+              [
+                (sa, Printf.sprintf "w %d %d" a amount);
+                (sb, Printf.sprintf "c %d %d" b amount);
+              ]
         end
         else
           let b =

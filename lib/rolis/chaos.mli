@@ -166,7 +166,9 @@ val run_sharded_seed :
     clusters, each loading its own account partition, driven by
     [drivers] (default 6) cross-session drivers issuing transfers —
     one-sided withdraw/credit halves committed through 2PC at
-    [cross_pct] (default 0.2). Every shard gets its own independent
+    [cross_pct] (default 0.2); with [shards >= 3], half of them split
+    the withdraw into credits on two other shards (a 3-participant
+    transaction). Every shard gets its own independent
     nemesis plan, so coordinator and participant shards crash,
     partition and fail over at uncorrelated moments — including between
     a prepare and its decision, and between a decision and its applies.

@@ -355,27 +355,126 @@ let snapshot_reads cluster =
   List.rev !viols
 
 (* Cross-shard 2PC audit over the decision marks the journals carry
-   (see {!Shard}): every "!p"/"!c"/"!a"/"!x"/"!r" control transaction
+   (see {!Shard}): every "!p"/"!k"/"!a"/"!x"/"!r" control transaction
    stamps its wire record with a {!Store.Wire.decision}, so the protocol
-   history is replicated state, not driver-side memory. Ground truth per
-   shard is the union durable log filtered by the final-watermark rule
-   (exactly as {!exactly_once}). After quiesce:
+   history is replicated state, not driver-side memory. The coordinator
+   is the last participant: its "!k" applies its own sub-transaction in
+   the same transaction that records the commit decision, so the
+   decision shard of a committed xid counts as applied. After quiesce:
 
    - a transaction id may carry at most one of {Committed, Aborted};
+   - the decision shard never carries a Prepared mark (the coordinator
+     never stages an intent) nor an Applied mark (a second apply of its
+     sub-transaction);
    - no (xid, shard) may be Applied more than once (the session layer
      must have deduplicated the driver's apply retries);
    - an Applied mark with an Aborted decision — or a Canceled mark with
      a Committed decision — is an atomicity violation;
-   - a Committed decision names its participants, and each must carry an
-     Applied mark: a shard that failed over between prepare and apply
-     must have recovered the staged intent from its journal;
+   - a Committed decision names its participants, and each one other
+     than the decision shard must carry an Applied mark: a shard that
+     failed over between prepare and apply must have recovered the
+     staged intent from its journal;
    - an Applied mark with no Committed decision anywhere means a
-     participant applied state no coordinator decided.
+     participant applied state no coordinator decided. *)
+let cross_shard_marks marks =
+  let decided : (int, (bool * int list * int) list) Hashtbl.t =
+    Hashtbl.create 256
+  in
+  let prepared : (int * int, unit) Hashtbl.t = Hashtbl.create 256 in
+  let applied : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
+  let canceled : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
+  Array.iteri
+    (fun shard ds ->
+      List.iter
+        (fun (d : Store.Wire.decision) ->
+          let key = (d.Store.Wire.d_xid, shard) in
+          match d.Store.Wire.d_phase with
+          | Store.Wire.Prepared -> Hashtbl.replace prepared key ()
+          | Store.Wire.Committed | Store.Wire.Aborted ->
+              let commit = d.Store.Wire.d_phase = Store.Wire.Committed in
+              let cur =
+                Option.value ~default:[]
+                  (Hashtbl.find_opt decided d.Store.Wire.d_xid)
+              in
+              Hashtbl.replace decided d.Store.Wire.d_xid
+                ((commit, d.Store.Wire.d_parts, shard) :: cur)
+          | Store.Wire.Applied ->
+              let c = Option.value ~default:0 (Hashtbl.find_opt applied key) in
+              Hashtbl.replace applied key (c + 1)
+          | Store.Wire.Canceled -> Hashtbl.replace canceled key ())
+        ds)
+    marks;
+  let viols = ref [] and nviol = ref 0 in
+  let bad fmt =
+    Format.kasprintf
+      (fun detail ->
+        incr nviol;
+        if !nviol <= cap then
+          viols := { check = "cross-shard"; detail } :: !viols)
+      fmt
+  in
+  let outcome_of xid =
+    match Hashtbl.find_opt decided xid with
+    | None -> `Undecided
+    | Some ds ->
+        let commits = List.filter (fun (c, _, _) -> c) ds
+        and aborts = List.filter (fun (c, _, _) -> not c) ds in
+        if commits <> [] && aborts <> [] then `Conflict
+        else if commits <> [] then
+          let _, parts, shard = List.hd commits in
+          `Committed (parts, shard)
+        else `Aborted
+  in
+  Hashtbl.iter
+    (fun xid ds ->
+      List.iter
+        (fun shard ->
+          if Hashtbl.mem prepared (xid, shard) then
+            bad "xid %d prepared on its decision shard %d" xid shard)
+        (List.sort_uniq compare (List.map (fun (_, _, shard) -> shard) ds));
+      match outcome_of xid with
+      | `Conflict -> bad "xid %d carries both commit and abort decisions" xid
+      | `Committed (parts, shard) ->
+          List.iter
+            (fun p ->
+              if p <> shard && not (Hashtbl.mem applied (xid, p)) then
+                bad
+                  "xid %d committed (decision on shard %d) but participant \
+                   shard %d never applied its intent"
+                  xid shard p)
+            parts
+      | `Aborted | `Undecided -> ())
+    decided;
+  Hashtbl.iter
+    (fun (xid, shard) c ->
+      if c > 1 then bad "xid %d applied %d times on shard %d" xid c shard;
+      match outcome_of xid with
+      | `Committed (_, dshard) when dshard = shard ->
+          bad
+            "xid %d applied on its decision shard %d, whose decision already \
+             applied it"
+            xid shard
+      | `Aborted ->
+          bad "xid %d applied on shard %d despite an abort decision" xid shard
+      | `Undecided ->
+          bad "xid %d applied on shard %d with no decision in any log" xid shard
+      | `Committed _ | `Conflict -> ())
+    applied;
+  Hashtbl.iter
+    (fun (xid, shard) () ->
+      match outcome_of xid with
+      | `Committed _ ->
+          bad "xid %d canceled on shard %d despite a commit decision" xid shard
+      | `Aborted | `Undecided | `Conflict -> ())
+    canceled;
+  List.rev !viols
 
-   Valid with checkpoint truncation off (sharded chaos keeps it off):
-   truncation could drop decision-carrying slots from every journal. *)
+(* Ground truth per shard is the union durable log filtered by the
+   final-watermark rule (exactly as {!exactly_once}). Valid with
+   checkpoint truncation off (sharded chaos keeps it off): truncation
+   could drop decision-carrying slots from every journal. *)
 let cross_shard clusters =
-  let applied_marks cluster =
+  let durable_marks cluster =
     let reps = alive_replicas cluster in
     let final_w epoch =
       List.fold_left
@@ -403,87 +502,7 @@ let cross_shard clusters =
       union;
     !acc
   in
-  let decided : (int, (bool * int list * int) list) Hashtbl.t =
-    Hashtbl.create 256
-  in
-  let applied : (int * int, int) Hashtbl.t = Hashtbl.create 256 in
-  let canceled : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun shard cluster ->
-      List.iter
-        (fun (d : Store.Wire.decision) ->
-          match d.Store.Wire.d_phase with
-          | Store.Wire.Prepared -> ()
-          | Store.Wire.Committed | Store.Wire.Aborted ->
-              let commit = d.Store.Wire.d_phase = Store.Wire.Committed in
-              let cur =
-                Option.value ~default:[]
-                  (Hashtbl.find_opt decided d.Store.Wire.d_xid)
-              in
-              Hashtbl.replace decided d.Store.Wire.d_xid
-                ((commit, d.Store.Wire.d_parts, shard) :: cur)
-          | Store.Wire.Applied ->
-              let key = (d.Store.Wire.d_xid, shard) in
-              let c = Option.value ~default:0 (Hashtbl.find_opt applied key) in
-              Hashtbl.replace applied key (c + 1)
-          | Store.Wire.Canceled ->
-              Hashtbl.replace canceled (d.Store.Wire.d_xid, shard) ())
-        (applied_marks cluster))
-    clusters;
-  let viols = ref [] and nviol = ref 0 in
-  let bad fmt =
-    Format.kasprintf
-      (fun detail ->
-        incr nviol;
-        if !nviol <= cap then
-          viols := { check = "cross-shard"; detail } :: !viols)
-      fmt
-  in
-  let outcome_of xid =
-    match Hashtbl.find_opt decided xid with
-    | None -> `Undecided
-    | Some ds ->
-        let commits = List.filter (fun (c, _, _) -> c) ds
-        and aborts = List.filter (fun (c, _, _) -> not c) ds in
-        if commits <> [] && aborts <> [] then `Conflict
-        else if commits <> [] then
-          let _, parts, shard = List.hd commits in
-          `Committed (parts, shard)
-        else `Aborted
-  in
-  Hashtbl.iter
-    (fun xid ds ->
-      (match outcome_of xid with
-      | `Conflict ->
-          bad "xid %d carries both commit and abort decisions" xid
-      | `Committed (parts, shard) ->
-          List.iter
-            (fun p ->
-              if not (Hashtbl.mem applied (xid, p)) then
-                bad
-                  "xid %d committed (decision on shard %d) but participant \
-                   shard %d never applied its intent"
-                  xid shard p)
-            parts
-      | `Aborted | `Undecided -> ());
-      ignore ds)
-    decided;
-  Hashtbl.iter
-    (fun (xid, shard) c ->
-      if c > 1 then bad "xid %d applied %d times on shard %d" xid c shard;
-      match outcome_of xid with
-      | `Aborted -> bad "xid %d applied on shard %d despite an abort decision" xid shard
-      | `Undecided -> bad "xid %d applied on shard %d with no decision in any log" xid shard
-      | `Committed _ | `Conflict -> ())
-    applied;
-  Hashtbl.iter
-    (fun (xid, shard) () ->
-      match outcome_of xid with
-      | `Committed _ ->
-          bad "xid %d canceled on shard %d despite a commit decision" xid shard
-      | `Aborted | `Undecided | `Conflict -> ())
-    canceled;
-  List.rev !viols
+  cross_shard_marks (Array.map durable_marks clusters)
 
 let money cluster ~table ~expected =
   alive_replicas cluster

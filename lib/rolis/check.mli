@@ -67,14 +67,23 @@ val cross_shard : Cluster.t array -> violation list
     {!Store.Wire.decision} marks its journals carry (one cluster per
     shard; requires [archive_entries]). Ground truth per shard is the
     union durable log filtered by the final-watermark rule (as
-    {!exactly_once}). Violations: a transaction id with both commit and
-    abort decisions; a participant applying its intent more than once
+    {!exactly_once}); the marks are then judged by {!cross_shard_marks}.
+    Quiescent points only, with checkpoint truncation off. *)
+
+val cross_shard_marks : Store.Wire.decision list array -> violation list
+(** The protocol rules behind {!cross_shard}, over the durable marks of
+    each shard (index = shard id). The coordinator's decision transaction
+    is also its apply, so the decision shard of a committed xid counts as
+    applied. Violations: a transaction id with both commit and abort
+    decisions; a [Prepared] mark on the decision shard (the coordinator
+    never stages an intent); an [Applied] mark on the decision shard of a
+    committed xid (a double apply); a participant applying more than once
     (apply-retry dedup failure), applying despite an abort decision,
     applying with no decision anywhere, or canceling despite a commit
     decision; and — atomicity's completeness half — a commit decision
-    whose named participant never applied (a shard that failed over
-    between prepare and apply must recover the intent from its journal).
-    Quiescent points only, with checkpoint truncation off. *)
+    whose named remote participant never applied (a shard that failed
+    over between prepare and apply must recover the intent from its
+    journal). *)
 
 val money_sharded :
   Cluster.t array -> table:string -> expected:int -> violation list

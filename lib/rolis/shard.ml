@@ -15,11 +15,12 @@ let k_decision xid = Store.Keycodec.encode [ Store.Keycodec.S "d"; Store.Keycode
    step inherits replication, exactly-once session dedup and failover
    recovery for free:
 
-     "!p <xid> <sub>"    prepare: stage [sub] as the intent row
-     "!c <xid> <parts>"  coordinator decision: commit
-     "!a <xid> <parts>"  coordinator decision: abort
-     "!x <xid>"          apply the staged intent, consume it
-     "!r <xid>"          cancel: discard the staged intent
+     "!p <xid> <sub>"          remote prepare: stage [sub] as the intent row
+     "!k <xid> <parts> <sub>"  coordinator decide-and-apply: run [sub] and
+                               record the commit decision, atomically
+     "!a <xid> <parts>"        coordinator decision: abort
+     "!x <xid>"                remote apply: run the staged intent, consume it
+     "!r <xid>"                remote cancel: discard the staged intent
 
    Each writes ordinary rows in the [__2pc] table *and* stamps the
    transaction's wire record with a {!Store.Wire.decision} mark, so the
@@ -30,14 +31,18 @@ let mark txn ~xid phase parts =
   Silo.Txn.set_decision txn
     { Store.Wire.d_xid = xid; d_phase = phase; d_parts = parts }
 
+(* "a b c" -> ("a", "b c");  "a" -> ("a", "") *)
+let split_word s =
+  match String.index_opt s ' ' with
+  | None -> (s, "")
+  | Some sp ->
+      (String.sub s 0 sp, String.sub s (sp + 1) (String.length s - sp - 1))
+
 let split_control payload =
   (* "!p 123 rest..." -> (123, "rest...");  "!x 123" -> (123, "") *)
   let body = String.sub payload 3 (String.length payload - 3) in
-  match String.index_opt body ' ' with
-  | None -> (int_of_string body, "")
-  | Some sp ->
-      ( int_of_string (String.sub body 0 sp),
-        String.sub body (sp + 1) (String.length body - sp - 1) )
+  let xid, rest = split_word body in
+  (int_of_string xid, rest)
 
 let parse_parts s =
   if s = "" then []
@@ -56,14 +61,22 @@ let wrap_app ?(veto = fun ~payload:_ -> false) base =
       match payload.[1] with
       | 'p' ->
           (* A vetoed sub-transaction surfaces its abort at prepare time,
-             before anything is staged anywhere — the coordinator turns
-             the vote into a global abort. *)
+             before anything is staged on this shard — the driver turns
+             the no vote into a global abort. *)
           if veto ~payload:rest then Silo.Txn.abort ();
           Silo.Txn.put txn t2 (k_intent xid) rest;
           mark txn ~xid Store.Wire.Prepared []
-      | 'c' ->
+      | 'k' ->
+          (* The coordinator is the last participant: its own
+             sub-transaction, the decision row and the Committed mark
+             commit in one transaction, so it never stages an intent and
+             the decision's durability is also its apply's. A veto here
+             aborts the whole request — nothing is decided yet. *)
+          let parts, sub = split_word rest in
+          if veto ~payload:sub then Silo.Txn.abort ();
+          base_op db ~payload:sub txn;
           Silo.Txn.put txn t2 (k_decision xid) "C";
-          mark txn ~xid Store.Wire.Committed (parse_parts rest)
+          mark txn ~xid Store.Wire.Committed (parse_parts parts)
       | 'a' ->
           Silo.Txn.put txn t2 (k_decision xid) "A";
           mark txn ~xid Store.Wire.Aborted (parse_parts rest)
@@ -129,6 +142,7 @@ type t = {
   clusters : Cluster.t array;
   drivers : driver array;
   stopped : bool ref;
+  mutable retries_base : int; (* lifetime session retries at the window open *)
 }
 
 let engine t = t.eng
@@ -145,41 +159,71 @@ let fresh_xid d =
 let req d s fmt =
   Printf.ksprintf (fun payload -> Client.request d.sessions.(s) payload) fmt
 
-(* Client-driven 2PC, coordinator-on-shard. Every arrow is a replicated
-   client request with session dedup, so the whole protocol is idempotent
-   under retry and survives any participant's failover:
+(* Run [f] on every item concurrently, one simulator process each, and
+   return the results in item order once all have finished. A single
+   item runs inline in the calling process. *)
+let fan_out eng f = function
+  | [] -> []
+  | [ x ] -> [ f x ]
+  | xs ->
+      let items = Array.of_list xs in
+      let results = Array.make (Array.length items) None in
+      let wg = Sim.Sync.Waitgroup.create eng in
+      Sim.Sync.Waitgroup.add wg (Array.length items);
+      Array.iteri
+        (fun i x ->
+          ignore
+            (Sim.Engine.spawn eng ~name:"shard-fan-out" (fun () ->
+                 results.(i) <- Some (f x);
+                 Sim.Sync.Waitgroup.finish wg)))
+        items;
+      Sim.Sync.Waitgroup.wait wg;
+      Array.to_list (Array.map Option.get results)
 
-     1. prepare on each participant (sequential; first abort wins);
-     2. all yes -> "!c" on the coordinator shard — once acked, the
-        decision is release-committed in its replicated log and the
-        transaction is atomically durable;
-     3. "!x" on every participant applies its staged intent.
+(* Client-driven 2PC, coordinator-on-shard, with the coordinator acting
+   as the last participant. Every arrow is a replicated client request
+   with session dedup, so the whole protocol is idempotent under retry
+   and survives any participant's failover:
 
-   On any no vote: "!a" on the coordinator records the abort decision,
-   then "!r" cancels the staged intents of the shards that voted yes. *)
-let run_2pc d parts =
+     1. "!p" on every remote participant, in parallel;
+     2. all yes -> "!k" on the coordinator shard runs its own
+        sub-transaction and records the commit decision in one
+        transaction — once acked, the decision is release-committed in
+        its replicated log and the transaction is atomically durable;
+     3. "!x" on every remote participant, in parallel, applies its
+        staged intent.
+
+   Two participants cost three replicated sub-transactions in three
+   rounds. On any no vote, or if "!k" itself aborts (the coordinator's
+   veto), "!a" on the coordinator records the abort decision, then "!r"
+   cancels the staged intents of the remotes that voted yes. *)
+let run_2pc eng d parts =
   let xid = fresh_xid d in
-  let ids = List.map fst parts in
-  let coord = List.hd ids in
-  let pstr = String.concat "," (List.map string_of_int ids) in
-  let rec prepare yes = function
-    | [] -> Ok (List.rev yes)
-    | (s, sub) :: rest -> (
-        match req d s "!p %d %s" xid sub with
-        | `Ok ->
-            d.prepares <- d.prepares + 1;
-            prepare (s :: yes) rest
-        | `Aborted | `Stopped -> Error (List.rev yes))
+  let coord, sub = List.hd parts and remotes = List.tl parts in
+  let pstr =
+    String.concat "," (List.map (fun (s, _) -> string_of_int s) parts)
   in
-  match prepare [] parts with
-  | Ok _ ->
-      ignore (req d coord "!c %d %s" xid pstr);
-      List.iter (fun s -> ignore (req d s "!x %d" xid)) ids;
-      true
-  | Error yes ->
-      ignore (req d coord "!a %d %s" xid pstr);
-      List.iter (fun s -> ignore (req d s "!r %d" xid)) yes;
-      false
+  let votes =
+    fan_out eng
+      (fun (s, sub) ->
+        match req d s "!p %d %s" xid sub with
+        | `Ok -> Some s
+        | `Aborted | `Stopped -> None)
+      remotes
+  in
+  let yes = List.filter_map Fun.id votes in
+  d.prepares <- d.prepares + List.length yes;
+  let committed =
+    List.length yes = List.length remotes
+    && req d coord "!k %d %s %s" xid pstr sub = `Ok
+  in
+  if committed then
+    ignore (fan_out eng (fun s -> ignore (req d s "!x %d" xid)) yes)
+  else begin
+    ignore (req d coord "!a %d %s" xid pstr);
+    ignore (fan_out eng (fun s -> ignore (req d s "!r %d" xid)) yes)
+  end;
+  committed
 
 let run_driver t d gen () =
   while true do
@@ -199,7 +243,7 @@ let run_driver t d gen () =
           | `Aborted -> d.aborted <- d.aborted + 1
           | `Stopped -> ())
       | Multi parts ->
-          if run_2pc d parts then begin
+          if run_2pc t.eng d parts then begin
             d.committed <- d.committed + 1;
             d.cross_committed <- d.cross_committed + 1;
             let l = Sim.Engine.time () - t0 in
@@ -265,7 +309,7 @@ let create ?on_durable ?veto cfg router app ~gen =
           cross_lat = Sim.Metrics.Hist.create ();
         })
   in
-  let t = { eng; cfg; router; clusters; drivers; stopped } in
+  let t = { eng; cfg; router; clusters; drivers; stopped; retries_base = 0 } in
   Array.iter
     (fun d ->
       let drng = Sim.Rng.split (Sim.Engine.rng eng) in
@@ -293,8 +337,15 @@ let quiesce ?(timeout = 10 * Sim.Engine.s) t =
   done;
   Array.for_all (fun d -> d.idle) t.drivers
 
+let lifetime_retries t =
+  Array.fold_left
+    (fun acc d ->
+      Array.fold_left (fun acc c -> acc + Client.retries c) acc d.sessions)
+    0 t.drivers
+
 let reset_window t =
   Array.iter Cluster.reset_window t.clusters;
+  t.retries_base <- lifetime_retries t;
   Array.iter
     (fun d ->
       d.committed <- 0;
@@ -349,8 +400,4 @@ let acked_seqs t s =
   Array.to_list t.drivers
   |> List.concat_map (fun d -> Client.acked_seqs d.sessions.(s))
 
-let client_retries t =
-  Array.fold_left
-    (fun acc d ->
-      Array.fold_left (fun acc c -> acc + Client.retries c) acc d.sessions)
-    0 t.drivers
+let client_retries t = lifetime_retries t - t.retries_base

@@ -26,12 +26,25 @@ val table_2pc : string
 
 val wrap_app : ?veto:(payload:string -> bool) -> App.t -> App.t
 (** Overlay the 2PC control surface on an app's [client_op]. Control
-    payloads ["!p"/"!c"/"!a"/"!x"/"!r"] stage, decide, apply or cancel;
-    anything else dispatches to the base [client_op] unchanged (the
+    payloads:
+    - ["!p <xid> <sub>"] (remote participant) stages [sub] as the intent
+      row and stamps [Prepared];
+    - ["!k <xid> <parts> <sub>"] (coordinator) runs [sub] through the base
+      [client_op], writes the ["C"] decision row and stamps [Committed]
+      with participants [parts], all in one transaction — the
+      coordinator's decision is its apply;
+    - ["!a <xid> <parts>"] (coordinator) writes the ["A"] decision row and
+      stamps [Aborted];
+    - ["!x <xid>"] (remote) applies the staged intent, consumes it and
+      stamps [Applied];
+    - ["!r <xid>"] (remote) discards the staged intent, if any, and
+      stamps [Canceled].
+
+    Anything else dispatches to the base [client_op] unchanged (the
     zero-cost single-shard path). [veto ~payload] lets the workload
-    surface a deterministic user abort at {e prepare} time (e.g. TPC-C's
-    1% NewOrder rollback), turning it into a clean global abort before
-    anything is staged.
+    surface a deterministic user abort before anything commits (e.g.
+    TPC-C's 1% NewOrder rollback): at prepare time on a remote, or as an
+    aborted ["!k"] on the coordinator, either way a clean global abort.
     @raise Invalid_argument if the base app has no [client_op]. *)
 
 (** {2 Deployment} *)
@@ -40,8 +53,10 @@ type op =
   | Single of int * string
       (** [(shard, payload)]: issued directly, routes unchanged. *)
   | Multi of (int * string) list
-      (** Cross-shard: participants with their sub-payloads; the first
-          participant hosts the coordinator. *)
+      (** Cross-shard: participants (distinct shards) with their
+          sub-payloads. The first participant hosts the coordinator: its
+          sub-payload commits in the same transaction as the decision;
+          the others are prepared and applied in parallel. *)
 
 type gen = unit -> op
 
@@ -106,7 +121,8 @@ val cross_committed : t -> int
 val cross_aborted : t -> int
 
 val prepares : t -> int
-(** Successful prepare votes recorded across all 2PC rounds. *)
+(** Successful prepare votes recorded across all 2PC rounds — one per
+    remote participant; the coordinator never prepares. *)
 
 val released : t -> int
 (** Release-committed {e sub}-transactions summed over every shard
@@ -127,3 +143,5 @@ val acked_seqs : t -> int -> (int * int) list
     to that shard's {!Check.exactly_once}. *)
 
 val client_retries : t -> int
+(** Request retries of every driver session since the last
+    {!reset_window} (the whole run if it was never called). *)

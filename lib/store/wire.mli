@@ -20,9 +20,11 @@ type write = {
 (** Cross-shard 2PC lifecycle of one distributed transaction, as seen from
     one shard's log. [Prepared] marks a participant's vote-yes (its intent
     row is in the same transaction's write-set); [Committed] / [Aborted]
-    mark the coordinator shard's replicated decision; [Applied] marks a
-    participant installing a committed transaction's effects; [Canceled]
-    marks a participant discarding a prepared intent after an abort. *)
+    mark the coordinator shard's replicated decision (a [Committed]
+    transaction also carries the coordinator's own sub-transaction
+    writes); [Applied] marks a remote participant installing a committed
+    transaction's effects; [Canceled] marks a participant discarding a
+    prepared intent after an abort. *)
 type phase2 = Prepared | Committed | Aborted | Applied | Canceled
 
 type decision = {

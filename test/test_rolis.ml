@@ -1922,6 +1922,272 @@ let test_sharded_debug_log_plans () =
   check_bool "reporter restored afterwards" true (Logs.level () <> Some Logs.Debug);
   check_int "outcome records the shard count" 2 o.Rolis.Chaos.shards
 
+(* The cross-shard oracle over synthetic decision marks: the coordinator
+   applies its own sub-transaction inside its decision, so only remote
+   participants carry Prepared/Applied/Canceled marks. Each broken
+   history must be reported, and the two clean ones must not. *)
+let test_cross_shard_oracle_marks () =
+  let mk xid phase parts =
+    { Store.Wire.d_xid = xid; d_phase = phase; d_parts = parts }
+  in
+  let open Store.Wire in
+  let audit marks = Rolis.Check.cross_shard_marks (Array.of_list marks) in
+  let expect_one name sub marks =
+    match audit marks with
+    | [ v ] ->
+        let d = v.Rolis.Check.detail in
+        let n = String.length sub in
+        let rec at i =
+          i + n <= String.length d && (String.sub d i n = sub || at (i + 1))
+        in
+        if not (at 0) then Alcotest.failf "%s: unexpected violation %S" name d
+    | vs ->
+        Alcotest.failf "%s: expected one violation, got %d" name
+          (List.length vs)
+  in
+  check_int "clean commit" 0
+    (List.length
+       (audit
+          [
+            [ mk 1 Committed [ 0; 1; 2 ] ];
+            [ mk 1 Prepared []; mk 1 Applied [] ];
+            [ mk 1 Prepared []; mk 1 Applied [] ];
+          ]));
+  check_int "clean abort after a coordinator veto" 0
+    (List.length
+       (audit
+          [
+            [ mk 2 Aborted [ 0; 1; 2 ] ];
+            [ mk 2 Prepared []; mk 2 Canceled [] ];
+            [ mk 2 Prepared []; mk 2 Canceled [] ];
+          ]));
+  expect_one "coordinator double apply" "applied on its decision shard 0"
+    [
+      [ mk 3 Committed [ 0; 1 ]; mk 3 Applied [] ];
+      [ mk 3 Prepared []; mk 3 Applied [] ];
+    ];
+  expect_one "missing remote apply" "participant shard 2 never applied"
+    [
+      [ mk 4 Committed [ 0; 1; 2 ] ];
+      [ mk 4 Prepared []; mk 4 Applied [] ];
+      [ mk 4 Prepared [] ];
+    ];
+  expect_one "coordinator prepare" "prepared on its decision shard 0"
+    [
+      [ mk 5 Prepared []; mk 5 Committed [ 0; 1 ] ];
+      [ mk 5 Prepared []; mk 5 Applied [] ];
+    ];
+  expect_one "cancel after commit" "canceled on shard 1 despite a commit"
+    [
+      [ mk 6 Committed [ 0; 1 ] ];
+      [ mk 6 Prepared []; mk 6 Applied []; mk 6 Canceled [] ];
+    ]
+
+(* A 3-shard range-partitioned bank deployment whose drivers issue only
+   3-participant transfers: a withdraw on the coordinator shard split
+   into credits on the two other shards. The last account of every shard
+   is frozen — the veto rejects any sub-transaction touching it — and
+   [frozen] picks which participant's account is the frozen one:
+   [`None], a remote's ([`Remote]) or the coordinator's ([`Coord]).
+   Returns the deployment, the table its durable decision marks collect
+   in — [(shard, xid, phase)] to the virtual time the first replica made
+   it durable — and the account count. *)
+let three_shard_bank ~frozen =
+  let shards = 3 and drivers = 2 and accounts_per_shard = 8 in
+  let accounts = shards * accounts_per_shard in
+  let router = Rolis.Router.ycsb ~keys:accounts ~shards in
+  let range sh = Rolis.Router.ycsb_key_range router ~keys:accounts sh in
+  let is_frozen a = List.exists (fun sh -> snd (range sh) = a) [ 0; 1; 2 ] in
+  let veto ~payload =
+    match String.split_on_char ' ' payload with
+    | [ ("w" | "c"); a; _ ] -> is_frozen (int_of_string a)
+    | _ -> false
+  in
+  let cfg =
+    {
+      Rolis.Config.default with
+      Rolis.Config.replicas = 3;
+      (* One worker and unbatched entries: a lone stream's watermark moves
+         with its own durable entries, so a request never waits for an
+         idle stream's heartbeat and the drivers run many rounds. *)
+      workers = 1;
+      cores = 2;
+      physical_serialization = true;
+      archive_entries = true;
+      heartbeat_interval = 50 * ms;
+      election_timeout = 300 * ms;
+      clients = drivers;
+      seed = 11L;
+      shards;
+      cross_pct = 1.0;
+      batch_size = 1;
+    }
+  in
+  let marks = Hashtbl.create 256 and eng = ref None in
+  let on_durable ~shard ~replica:_ ~stream:_ ~idx:_ (e : Store.Wire.entry) =
+    List.iter
+      (fun (t : Store.Wire.txn_log) ->
+        match (t.Store.Wire.decision, !eng) with
+        | Some d, Some eng ->
+            let key = (shard, d.Store.Wire.d_xid, d.Store.Wire.d_phase) in
+            if not (Hashtbl.mem marks key) then
+              Hashtbl.add marks key (Sim.Engine.now eng)
+        | _ -> ())
+      e.Store.Wire.txns
+  in
+  let dep =
+    Rolis.Shard.create ~on_durable ~veto cfg router
+      (fun ~shard ->
+        Rolis.Chaos.bank_app ~range:(range shard) ~accounts
+          ~stopped:(ref false) ())
+      ~gen:(fun ~rng ~driver:_ () ->
+        let pick sh ~frz =
+          let lo, hi = range sh in
+          if frz then hi else lo + Sim.Rng.int rng (hi - lo)
+        in
+        let sa = Sim.Rng.int rng shards in
+        let sb = (sa + 1) mod shards and sc = (sa + 2) mod shards in
+        let a = pick sa ~frz:(frozen = `Coord)
+        and b = pick sb ~frz:false
+        and c = pick sc ~frz:(frozen = `Remote) in
+        let x = 1 + Sim.Rng.int rng 10 and y = 1 + Sim.Rng.int rng 10 in
+        Rolis.Shard.Multi
+          [
+            (sa, Printf.sprintf "w %d %d" a (x + y));
+            (sb, Printf.sprintf "c %d %d" b x);
+            (sc, Printf.sprintf "c %d %d" c y);
+          ])
+  in
+  eng := Some (Rolis.Shard.engine dep);
+  (dep, marks, accounts)
+
+(* Run the drivers for half a second, then quiesce and let replay drain. *)
+let settle dep =
+  Rolis.Shard.run dep ~duration:(500 * ms) ();
+  check_bool "drivers quiesced" true (Rolis.Shard.quiesce dep);
+  Rolis.Shard.run dep ~duration:(300 * ms) ()
+
+let audit_sharded_bank dep ~accounts =
+  let clusters = Rolis.Shard.clusters dep in
+  let viols =
+    Rolis.Check.cross_shard clusters
+    @ Rolis.Check.money_sharded clusters ~table:Rolis.Chaos.bank_table
+        ~expected:(accounts * Rolis.Chaos.initial_balance)
+  in
+  if viols <> [] then
+    Alcotest.failf "3-shard 2PC violated invariants: %s"
+      (String.concat "; "
+         (List.map
+            (fun v ->
+              Printf.sprintf "%s: %s" v.Rolis.Check.check v.Rolis.Check.detail)
+            viols))
+
+(* Transactions carrying a [phase] mark, on [shard] or on any shard. *)
+let count_marks ?shard marks phase =
+  Hashtbl.fold
+    (fun (sh, _, ph) _ n ->
+      if ph = phase && Option.fold ~none:true ~some:(( = ) sh) shard then n + 1
+      else n)
+    marks 0
+
+(* Every shard's balances are still the initial ones: no sub-transaction
+   of an aborted transfer left an effect anywhere. *)
+let check_untouched dep =
+  Array.iteri
+    (fun sh cluster ->
+      match Rolis.Cluster.leader cluster with
+      | None -> Alcotest.failf "shard %d has no leader" sh
+      | Some r ->
+          let t = Silo.Db.table (Rolis.Replica.db r) Rolis.Chaos.bank_table in
+          Store.Table.iter t (fun _ rec_ ->
+              if
+                rec_.Store.Record.value
+                <> string_of_int Rolis.Chaos.initial_balance
+              then Alcotest.failf "shard %d: a balance moved under aborts" sh))
+    (Rolis.Shard.clusters dep)
+
+let test_shard_three_party_commit () =
+  let dep, marks, accounts = three_shard_bank ~frozen:`None in
+  settle dep;
+  let n = Rolis.Shard.cross_committed dep in
+  check_bool "3-participant transfers committed" true (n > 20);
+  check_int "no aborts" 0 (Rolis.Shard.cross_aborted dep);
+  check_int "two remote prepares per transaction, none on the coordinator"
+    (2 * n) (Rolis.Shard.prepares dep);
+  check_int "one decision per transaction" n
+    (count_marks marks Store.Wire.Committed);
+  check_int "one remote apply per prepare"
+    (count_marks marks Store.Wire.Prepared)
+    (count_marks marks Store.Wire.Applied);
+  (* The fan-out is parallel: a transaction's two remote prepares become
+     durable within a fraction of the round that separates the later one
+     from the coordinator's decision (sequential prepares would be a full
+     round apart). *)
+  let skew = ref [] and round = ref [] in
+  Hashtbl.iter
+    (fun (sh, xid, ph) t_dec ->
+      if ph = Store.Wire.Committed then
+        match
+          List.filter_map
+            (fun r -> Hashtbl.find_opt marks (r, xid, Store.Wire.Prepared))
+            [ (sh + 1) mod 3; (sh + 2) mod 3 ]
+        with
+        | [ t1; t2 ] ->
+            skew := abs (t1 - t2) :: !skew;
+            round := (t_dec - max t1 t2) :: !round
+        | _ -> ())
+    marks;
+  let median l = List.nth (List.sort compare l) (List.length l / 2) in
+  check_bool "remote prepares overlap" true (2 * median !skew < median !round);
+  audit_sharded_bank dep ~accounts
+
+let test_shard_remote_veto_aborts () =
+  let dep, marks, accounts = three_shard_bank ~frozen:`Remote in
+  settle dep;
+  check_int "nothing committed" 0 (Rolis.Shard.cross_committed dep);
+  check_bool "global aborts" true (Rolis.Shard.cross_aborted dep > 20);
+  for shard = 0 to 2 do
+    check_int
+      (Printf.sprintf "shard %d: every staged intent was canceled" shard)
+      (count_marks ~shard marks Store.Wire.Prepared)
+      (count_marks ~shard marks Store.Wire.Canceled);
+    check_int
+      (Printf.sprintf "shard %d: no commit decision" shard)
+      0
+      (count_marks ~shard marks Store.Wire.Committed)
+  done;
+  check_untouched dep;
+  audit_sharded_bank dep ~accounts
+
+let test_shard_coordinator_veto_cancels () =
+  let dep, marks, accounts = three_shard_bank ~frozen:`Coord in
+  settle dep;
+  let n = Rolis.Shard.cross_aborted dep in
+  check_int "nothing committed" 0 (Rolis.Shard.cross_committed dep);
+  check_bool "global aborts" true (n > 20);
+  check_int "both remotes staged before the coordinator vetoed" (2 * n)
+    (Rolis.Shard.prepares dep);
+  check_int "one abort decision per transaction" n
+    (count_marks marks Store.Wire.Aborted);
+  check_int "every staged remote intent canceled" (2 * n)
+    (count_marks marks Store.Wire.Canceled);
+  check_int "no apply anywhere" 0 (count_marks marks Store.Wire.Applied);
+  check_untouched dep;
+  audit_sharded_bank dep ~accounts
+
+(* The retry count is windowed: the warm-up Not_leader redirects count
+   before the window opens, and a fault-free window adds none. *)
+let test_shard_client_retries_windowed () =
+  let dep, _, _ = three_shard_bank ~frozen:`None in
+  Rolis.Shard.run dep ~duration:(300 * ms) ();
+  check_bool "warm-up redirects were retried" true
+    (Rolis.Shard.client_retries dep > 0);
+  Rolis.Shard.reset_window dep;
+  Rolis.Shard.run dep ~duration:(500 * ms) ();
+  check_bool "the window committed" true (Rolis.Shard.committed dep > 0);
+  check_int "no retries in a fault-free window" 0
+    (Rolis.Shard.client_retries dep)
+
 (* ---------- Trace ---------- *)
 
 (* Every released sampled transaction emits 6 spans; with [capacity = 8]
@@ -2199,6 +2465,16 @@ let () =
           Alcotest.test_case "sharded chaos seed" `Quick test_sharded_chaos_seed;
           Alcotest.test_case "sharded seed debug log has per-shard plans" `Quick
             test_sharded_debug_log_plans;
+          Alcotest.test_case "cross-shard oracle over synthetic marks" `Quick
+            test_cross_shard_oracle_marks;
+          Alcotest.test_case "three-party commit fans out" `Quick
+            test_shard_three_party_commit;
+          Alcotest.test_case "remote veto aborts globally" `Quick
+            test_shard_remote_veto_aborts;
+          Alcotest.test_case "coordinator veto cancels remote intents" `Quick
+            test_shard_coordinator_veto_cancels;
+          Alcotest.test_case "client retries are windowed" `Quick
+            test_shard_client_retries_windowed;
         ] );
       ( "trace",
         [
