@@ -422,8 +422,8 @@ let run_sharded_seed ?(shards = 2) ?(cross_pct = 0.2) ?(replicas = 3)
           let blo, bhi = Router.ycsb_key_range router ~keys:accounts sb in
           let b = blo + Sim.Rng.int rng (bhi - blo + 1) in
           (* With three or more shards, half the cross transfers split the
-             withdraw into two credits on two other shards, so the
-             parallel prepare and apply fan-out runs under fire. The extra
+             withdraw into two credits on two other shards, so 2PC rounds
+             with two remote participants run under fire. The extra
              draws happen only then: 2-shard sweeps stay seed-identical. *)
           if shards >= 3 && Sim.Rng.bool rng then begin
             let sc =

@@ -362,7 +362,10 @@ let snapshot_reads cluster =
    the same transaction that records the commit decision, so the
    decision shard of a committed xid counts as applied. After quiesce:
 
-   - a transaction id may carry at most one of {Committed, Aborted};
+   - a transaction id may carry at most one of {Committed, Aborted},
+     and its Committed mark only once (a second one is a retried "!k"
+     the session layer failed to deduplicate: the coordinator's
+     sub-transaction applied twice);
    - the decision shard never carries a Prepared mark (the coordinator
      never stages an intent) nor an Applied mark (a second apply of its
      sub-transaction);
@@ -432,6 +435,10 @@ let cross_shard_marks marks =
           if Hashtbl.mem prepared (xid, shard) then
             bad "xid %d prepared on its decision shard %d" xid shard)
         (List.sort_uniq compare (List.map (fun (_, _, shard) -> shard) ds));
+      let commits = List.filter (fun (c, _, _) -> c) ds in
+      if List.length commits > 1 then
+        bad "xid %d committed %d times: its decision applied more than once"
+          xid (List.length commits);
       match outcome_of xid with
       | `Conflict -> bad "xid %d carries both commit and abort decisions" xid
       | `Committed (parts, shard) ->

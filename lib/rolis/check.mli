@@ -75,8 +75,9 @@ val cross_shard_marks : Store.Wire.decision list array -> violation list
     each shard (index = shard id). The coordinator's decision transaction
     is also its apply, so the decision shard of a committed xid counts as
     applied. Violations: a transaction id with both commit and abort
-    decisions; a [Prepared] mark on the decision shard (the coordinator
-    never stages an intent); an [Applied] mark on the decision shard of a
+    decisions, or with more than one commit decision (the coordinator's
+    sub-transaction applied twice); a [Prepared] mark on the decision
+    shard (the coordinator never stages an intent); an [Applied] mark on the decision shard of a
     committed xid (a double apply); a participant applying more than once
     (apply-retry dedup failure), applying despite an abort decision,
     applying with no decision anywhere, or canceling despite a commit

@@ -159,69 +159,44 @@ let fresh_xid d =
 let req d s fmt =
   Printf.ksprintf (fun payload -> Client.request d.sessions.(s) payload) fmt
 
-(* Run [f] on every item concurrently, one simulator process each, and
-   return the results in item order once all have finished. A single
-   item runs inline in the calling process. *)
-let fan_out eng f = function
-  | [] -> []
-  | [ x ] -> [ f x ]
-  | xs ->
-      let items = Array.of_list xs in
-      let results = Array.make (Array.length items) None in
-      let wg = Sim.Sync.Waitgroup.create eng in
-      Sim.Sync.Waitgroup.add wg (Array.length items);
-      Array.iteri
-        (fun i x ->
-          ignore
-            (Sim.Engine.spawn eng ~name:"shard-fan-out" (fun () ->
-                 results.(i) <- Some (f x);
-                 Sim.Sync.Waitgroup.finish wg)))
-        items;
-      Sim.Sync.Waitgroup.wait wg;
-      Array.to_list (Array.map Option.get results)
-
 (* Client-driven 2PC, coordinator-on-shard, with the coordinator acting
    as the last participant. Every arrow is a replicated client request
    with session dedup, so the whole protocol is idempotent under retry
    and survives any participant's failover:
 
-     1. "!p" on every remote participant, in parallel;
+     1. "!p" on each remote participant in turn; the first no vote
+        stops the round;
      2. all yes -> "!k" on the coordinator shard runs its own
         sub-transaction and records the commit decision in one
         transaction — once acked, the decision is release-committed in
         its replicated log and the transaction is atomically durable;
-     3. "!x" on every remote participant, in parallel, applies its
-        staged intent.
+     3. "!x" on every remote participant applies its staged intent.
 
    Two participants cost three replicated sub-transactions in three
    rounds. On any no vote, or if "!k" itself aborts (the coordinator's
    veto), "!a" on the coordinator records the abort decision, then "!r"
    cancels the staged intents of the remotes that voted yes. *)
-let run_2pc eng d parts =
+let run_2pc d parts =
   let xid = fresh_xid d in
   let coord, sub = List.hd parts and remotes = List.tl parts in
   let pstr =
     String.concat "," (List.map (fun (s, _) -> string_of_int s) parts)
   in
-  let votes =
-    fan_out eng
-      (fun (s, sub) ->
+  let rec prepare yes = function
+    | [] -> (true, List.rev yes)
+    | (s, sub) :: rest -> (
         match req d s "!p %d %s" xid sub with
-        | `Ok -> Some s
-        | `Aborted | `Stopped -> None)
-      remotes
+        | `Ok ->
+            d.prepares <- d.prepares + 1;
+            prepare (s :: yes) rest
+        | `Aborted | `Stopped -> (false, List.rev yes))
   in
-  let yes = List.filter_map Fun.id votes in
-  d.prepares <- d.prepares + List.length yes;
-  let committed =
-    List.length yes = List.length remotes
-    && req d coord "!k %d %s %s" xid pstr sub = `Ok
-  in
-  if committed then
-    ignore (fan_out eng (fun s -> ignore (req d s "!x %d" xid)) yes)
+  let all_yes, yes = prepare [] remotes in
+  let committed = all_yes && req d coord "!k %d %s %s" xid pstr sub = `Ok in
+  if committed then List.iter (fun s -> ignore (req d s "!x %d" xid)) yes
   else begin
     ignore (req d coord "!a %d %s" xid pstr);
-    ignore (fan_out eng (fun s -> ignore (req d s "!r %d" xid)) yes)
+    List.iter (fun s -> ignore (req d s "!r %d" xid)) yes
   end;
   committed
 
@@ -243,7 +218,7 @@ let run_driver t d gen () =
           | `Aborted -> d.aborted <- d.aborted + 1
           | `Stopped -> ())
       | Multi parts ->
-          if run_2pc t.eng d parts then begin
+          if run_2pc d parts then begin
             d.committed <- d.committed + 1;
             d.cross_committed <- d.cross_committed + 1;
             let l = Sim.Engine.time () - t0 in

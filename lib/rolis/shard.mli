@@ -56,7 +56,8 @@ type op =
       (** Cross-shard: participants (distinct shards) with their
           sub-payloads. The first participant hosts the coordinator: its
           sub-payload commits in the same transaction as the decision;
-          the others are prepared and applied in parallel. *)
+          the others are prepared before it and applied after it, one
+          after the other. *)
 
 type gen = unit -> op
 

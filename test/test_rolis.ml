@@ -1762,16 +1762,20 @@ let test_router_partitioning () =
   done;
   check_int "ycsb ranges tile the space" keys !ycovered
 
-(* The satellite e2e: crash the coordinator shard's leader after a
-   prepare is durable but (with overwhelming likelihood) before the
-   decision lands — the classic 2PC in-doubt window. Every transaction
-   is cross-shard (cross_pct = 1), so the crash interrupts live 2PC
-   rounds; the freshly elected leader must recover the staged intents,
-   the session table and any already-replicated decision from its
-   journal, and the drivers' retries must drive every round to one
+(* Crash shard 0's leader 1 ms after the first 2PC mark of phase
+   [trigger] becomes durable there — inside the in-doubt window of
+   whatever rounds are then in flight. With [hold_acks], the leader's
+   replies to the drivers are cut from that moment instead, and the
+   crash comes 50 ms later, once the triggering transaction is
+   release-committed: its ack is lost, so the driver's retry must reach
+   the next leader, which has the transaction in its log. Every
+   transaction is cross-shard (cross_pct = 1), so the crash interrupts
+   live 2PC rounds; the freshly elected leader must recover the staged
+   intents, the session table and any already-replicated decision from
+   its journal, and the drivers' retries must drive every round to one
    atomic outcome. Afterwards: cross-shard atomicity, per-shard
    exactly-once, and global money conservation. *)
-let test_shard_coordinator_crash_recovers_decision () =
+let shard_crash_on_mark ~trigger ~hold_acks =
   let shards = 2 and drivers = 4 and accounts_per_shard = 16 in
   let accounts = shards * accounts_per_shard in
   let router = Rolis.Router.ycsb ~keys:accounts ~shards in
@@ -1794,34 +1798,53 @@ let test_shard_coordinator_crash_recovers_decision () =
   in
   let stopped = ref false in
   let dep_ref = ref None in
-  let crashed = ref false in
-  (* Fires on every durability commit on shard 0; the first Prepared mark
-     schedules a leader crash 1 ms later — inside the in-doubt window of
-     whatever rounds are then in flight. *)
+  let crashed = ref false and retries_at_crash = ref 0 in
   let on_durable ~shard ~replica:_ ~stream:_ ~idx:_ (e : Store.Wire.entry) =
     if shard = 0 && not !crashed then
-      let has_prepare =
+      let has_trigger =
         List.exists
           (fun (t : Store.Wire.txn_log) ->
             match t.Store.Wire.decision with
-            | Some d -> d.Store.Wire.d_phase = Store.Wire.Prepared
+            | Some d -> d.Store.Wire.d_phase = trigger
             | None -> false)
           e.Store.Wire.txns
       in
-      if has_prepare then begin
+      if has_trigger then begin
         crashed := true;
         match !dep_ref with
         | None -> ()
         | Some dep ->
             let cluster = Rolis.Shard.cluster dep 0 in
             let eng = Rolis.Shard.engine dep in
+            let net = Rolis.Cluster.network cluster in
+            let pool = Rolis.Config.pool cfg in
+            (* Apply [f leader driver_node] to every driver's link. *)
+            let driver_links leader f =
+              for c = pool to pool + drivers - 1 do
+                f leader c
+              done
+            in
+            let leader =
+              Option.map Rolis.Replica.id (Rolis.Cluster.leader cluster)
+            in
+            if hold_acks then
+              Option.iter
+                (fun l ->
+                  driver_links l (fun src dst ->
+                      Sim.Net.partition_oneway net ~src ~dst))
+                leader;
             Sim.Engine.schedule eng
-              (Sim.Engine.now eng + (1 * ms))
+              (Sim.Engine.now eng + ((if hold_acks then 50 else 1) * ms))
               (fun () ->
-                match Rolis.Cluster.leader cluster with
+                retries_at_crash := Rolis.Shard.client_retries dep;
+                (match Rolis.Cluster.leader cluster with
                 | Some r ->
                     Rolis.Cluster.crash_replica cluster (Rolis.Replica.id r)
-                | None -> ())
+                | None -> ());
+                if hold_acks then
+                  Option.iter
+                    (fun l -> driver_links l (Sim.Net.heal net))
+                    leader)
       end
   in
   let dep =
@@ -1848,8 +1871,8 @@ let test_shard_coordinator_crash_recovers_decision () =
   in
   dep_ref := Some dep;
   Rolis.Shard.run dep ~duration:(2 * s) ();
-  check_bool "a prepare was observed and the coordinator leader crashed" true
-    !crashed;
+  check_bool "the trigger mark was observed and shard 0's leader crashed"
+    true !crashed;
   (* Quiesce, restart the dead replica, drain replay, then audit. *)
   check_bool "drivers quiesced" true (Rolis.Shard.quiesce dep);
   Array.iter
@@ -1863,6 +1886,8 @@ let test_shard_coordinator_crash_recovers_decision () =
   Rolis.Shard.run dep ~duration:(2 * s) ();
   check_bool "cross-shard transactions committed through the crash" true
     (Rolis.Shard.cross_committed dep > 0);
+  check_bool "drivers retried after the crash" true
+    (Rolis.Shard.client_retries dep > !retries_at_crash);
   let clusters = Rolis.Shard.clusters dep in
   let viols =
     (Array.to_list clusters
@@ -1877,12 +1902,28 @@ let test_shard_coordinator_crash_recovers_decision () =
         ~expected:(accounts * Rolis.Chaos.initial_balance)
   in
   if viols <> [] then
-    Alcotest.failf "coordinator crash violated invariants: %s"
+    Alcotest.failf "shard 0 leader crash violated invariants: %s"
       (String.concat "; "
          (List.map
             (fun v ->
               Printf.sprintf "%s: %s" v.Rolis.Check.check v.Rolis.Check.detail)
             viols))
+
+
+(* Triggered by a Prepared mark. The coordinator never prepares, so this
+   is shard 0 acting as a remote participant: the crash lands in a
+   remote's in-doubt window, between its prepare and its apply, and the
+   new leader must recover the staged intent from its journal. *)
+let test_shard_coordinator_crash_recovers_decision () =
+  shard_crash_on_mark ~trigger:Store.Wire.Prepared ~hold_acks:false
+
+(* Triggered by a Committed mark: shard 0 is the coordinator, its "!k"
+   is durable and its ack never arrives. The driver retries "!k" on the
+   new leader; since "!k" carries the coordinator's own writes, session
+   dedup must answer the retry from the rebuilt session table instead of
+   applying them a second time. *)
+let test_shard_coordinator_crash_after_decision () =
+  shard_crash_on_mark ~trigger:Store.Wire.Committed ~hold_acks:true
 
 (* One deterministic sharded chaos seed end-to-end through the harness:
    independent per-shard nemeses, cross-shard 2PC under fire, and the
@@ -1977,6 +2018,11 @@ let test_cross_shard_oracle_marks () =
       [ mk 5 Prepared []; mk 5 Committed [ 0; 1 ] ];
       [ mk 5 Prepared []; mk 5 Applied [] ];
     ];
+  expect_one "coordinator decision applied twice" "committed 2 times"
+    [
+      [ mk 7 Committed [ 0; 1 ]; mk 7 Committed [ 0; 1 ] ];
+      [ mk 7 Prepared []; mk 7 Applied [] ];
+    ];
   expect_one "cancel after commit" "canceled on shard 1 despite a commit"
     [
       [ mk 6 Committed [ 0; 1 ] ];
@@ -1989,9 +2035,8 @@ let test_cross_shard_oracle_marks () =
    is frozen — the veto rejects any sub-transaction touching it — and
    [frozen] picks which participant's account is the frozen one:
    [`None], a remote's ([`Remote]) or the coordinator's ([`Coord]).
-   Returns the deployment, the table its durable decision marks collect
-   in — [(shard, xid, phase)] to the virtual time the first replica made
-   it durable — and the account count. *)
+   Returns the deployment, the set of its durable decision marks as
+   [(shard, xid, phase)] keys, and the account count. *)
 let three_shard_bank ~frozen =
   let shards = 3 and drivers = 2 and accounts_per_shard = 8 in
   let accounts = shards * accounts_per_shard in
@@ -2023,16 +2068,15 @@ let three_shard_bank ~frozen =
       batch_size = 1;
     }
   in
-  let marks = Hashtbl.create 256 and eng = ref None in
+  let marks = Hashtbl.create 256 in
   let on_durable ~shard ~replica:_ ~stream:_ ~idx:_ (e : Store.Wire.entry) =
     List.iter
       (fun (t : Store.Wire.txn_log) ->
-        match (t.Store.Wire.decision, !eng) with
-        | Some d, Some eng ->
+        match t.Store.Wire.decision with
+        | Some d ->
             let key = (shard, d.Store.Wire.d_xid, d.Store.Wire.d_phase) in
-            if not (Hashtbl.mem marks key) then
-              Hashtbl.add marks key (Sim.Engine.now eng)
-        | _ -> ())
+            Hashtbl.replace marks key ()
+        | None -> ())
       e.Store.Wire.txns
   in
   let dep =
@@ -2058,7 +2102,6 @@ let three_shard_bank ~frozen =
             (sc, Printf.sprintf "c %d %d" c y);
           ])
   in
-  eng := Some (Rolis.Shard.engine dep);
   (dep, marks, accounts)
 
 (* Run the drivers for half a second, then quiesce and let replay drain. *)
@@ -2119,26 +2162,6 @@ let test_shard_three_party_commit () =
   check_int "one remote apply per prepare"
     (count_marks marks Store.Wire.Prepared)
     (count_marks marks Store.Wire.Applied);
-  (* The fan-out is parallel: a transaction's two remote prepares become
-     durable within a fraction of the round that separates the later one
-     from the coordinator's decision (sequential prepares would be a full
-     round apart). *)
-  let skew = ref [] and round = ref [] in
-  Hashtbl.iter
-    (fun (sh, xid, ph) t_dec ->
-      if ph = Store.Wire.Committed then
-        match
-          List.filter_map
-            (fun r -> Hashtbl.find_opt marks (r, xid, Store.Wire.Prepared))
-            [ (sh + 1) mod 3; (sh + 2) mod 3 ]
-        with
-        | [ t1; t2 ] ->
-            skew := abs (t1 - t2) :: !skew;
-            round := (t_dec - max t1 t2) :: !round
-        | _ -> ())
-    marks;
-  let median l = List.nth (List.sort compare l) (List.length l / 2) in
-  check_bool "remote prepares overlap" true (2 * median !skew < median !round);
   audit_sharded_bank dep ~accounts
 
 let test_shard_remote_veto_aborts () =
@@ -2462,12 +2485,14 @@ let () =
           Alcotest.test_case "router partitioning" `Quick test_router_partitioning;
           Alcotest.test_case "coordinator crash recovers decision" `Quick
             test_shard_coordinator_crash_recovers_decision;
+          Alcotest.test_case "coordinator crash after decision dedups retry"
+            `Quick test_shard_coordinator_crash_after_decision;
           Alcotest.test_case "sharded chaos seed" `Quick test_sharded_chaos_seed;
           Alcotest.test_case "sharded seed debug log has per-shard plans" `Quick
             test_sharded_debug_log_plans;
           Alcotest.test_case "cross-shard oracle over synthetic marks" `Quick
             test_cross_shard_oracle_marks;
-          Alcotest.test_case "three-party commit fans out" `Quick
+          Alcotest.test_case "three-party commit" `Quick
             test_shard_three_party_commit;
           Alcotest.test_case "remote veto aborts globally" `Quick
             test_shard_remote_veto_aborts;
