@@ -76,6 +76,79 @@ let test_rng_uniformity () =
   done;
   Array.iter (fun c -> check_bool "roughly uniform" true (c > 500 && c < 1500)) cells
 
+(* Known-answer draws for two seeds. Every simulated figure rests on
+   these sequences, and the determinism tests above would still pass if
+   all of them changed together. *)
+type draw =
+  | D_int64 of int64
+  | D_int of int * int
+  | D_float of float * float
+  | D_bool of bool
+
+let check_draws t draws =
+  List.iteri
+    (fun i d ->
+      let name = Printf.sprintf "draw %d" i in
+      match d with
+      | D_int64 v -> Alcotest.(check int64) name v (Sim.Rng.int64 t)
+      | D_int (n, v) -> check_int name v (Sim.Rng.int t n)
+      | D_float (x, v) ->
+          Alcotest.(check int64) name (Int64.bits_of_float v)
+            (Int64.bits_of_float (Sim.Rng.float t x))
+      | D_bool v -> check_bool name v (Sim.Rng.bool t))
+    draws
+
+let test_rng_known_answers () =
+  let run seed parent child tail =
+    let t = Sim.Rng.create seed in
+    check_draws t parent;
+    let c = Sim.Rng.split t in
+    check_draws c child;
+    check_draws t tail
+  in
+  run 1L
+    [
+      D_int64 (-5480124913605472059L);
+      D_int64 (-8846382939111011094L);
+      D_int64 (-7856363154187860716L);
+      D_int (1, 0);
+      D_int (3, 2);
+      D_int (10, 1);
+      D_int (100, 80);
+      D_int (1_000_000, 141009);
+      D_int (max_int, 3822500491940063398);
+      D_float (1.0, 0x1.dd94622bc4779p-1);
+      D_float (1.0, 0x1.5693da7b698ccp-1);
+      D_float (7.5, 0x1.1ff7d14b2411p+2);
+      D_bool true;
+      D_bool true;
+      D_bool true;
+      D_bool false;
+    ]
+    [ D_int64 (-7980409544982135825L); D_int64 5800259403029107496L ]
+    [ D_int64 8545088851120551825L ];
+  run 0x5EEDL
+    [
+      D_int64 (-1210358410065458316L);
+      D_int64 (-2164664542880791269L);
+      D_int64 (-2834165613409827270L);
+      D_int (1, 0);
+      D_int (3, 2);
+      D_int (10, 6);
+      D_int (100, 26);
+      D_int (1_000_000, 37126);
+      D_int (max_int, 3219752577728915512);
+      D_float (1.0, 0x1.14ebd45458003p-1);
+      D_float (1.0, 0x1.3d7754e542b82p-2);
+      D_float (7.5, 0x1.2428dfd336b1p+2);
+      D_bool true;
+      D_bool true;
+      D_bool true;
+      D_bool false;
+    ]
+    [ D_int64 8996983643388157996L; D_int64 3235083890912173989L ]
+    [ D_int64 7135331779493622629L ]
+
 (* ---------- Engine ---------- *)
 
 let test_engine_time_order () =
@@ -694,6 +767,7 @@ let () =
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "int_in bounds" `Quick test_rng_int_in;
           Alcotest.test_case "uniformity" `Quick test_rng_uniformity;
+          Alcotest.test_case "known answers" `Quick test_rng_known_answers;
           qc rng_bounds_qcheck;
         ] );
       ( "engine",

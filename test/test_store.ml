@@ -129,6 +129,29 @@ let test_prefix_scan_semantics () =
       check_bool "below < p" true (compare below p < 0);
       check_bool "above >= q" true (compare above q >= 0)
 
+(* Known-answer bytes: round-trip and order tests would still pass if an
+   encoder changed every byte (say, sign-extending the 63-bit integer), so
+   pin the exact output. Integers are 8-byte big-endian with the top bit
+   of OCaml's 63-bit two's complement flipped; bit 63 is always 0. *)
+let test_keycodec_known_answers () =
+  let open Store.Keycodec in
+  List.iter
+    (fun (name, cs, expect) -> Alcotest.(check string) name expect (encode cs))
+    [
+      ("I 0", [ I 0 ], "\x01\x40\x00\x00\x00\x00\x00\x00\x00");
+      ("I 1", [ I 1 ], "\x01\x40\x00\x00\x00\x00\x00\x00\x01");
+      ("I -1", [ I (-1) ], "\x01\x3f\xff\xff\xff\xff\xff\xff\xff");
+      ("I max_int", [ I max_int ], "\x01\x7f\xff\xff\xff\xff\xff\xff\xff");
+      ("I min_int", [ I min_int ], "\x01\x00\x00\x00\x00\x00\x00\x00\x00");
+      ("S empty", [ S "" ], "\x02\x00");
+      ("S nul", [ S "\x00" ], "\x02\x00\xff\x00");
+      ("S a nul b", [ S "a\x00b" ], "\x02a\x00\xffb\x00");
+      ("S nul nul", [ S "\x00\x00" ], "\x02\x00\xff\x00\xff\x00");
+      ( "mixed",
+        [ I 3; S "x\x00"; I (-7) ],
+        "\x01\x40\x00\x00\x00\x00\x00\x00\x03\x02x\x00\xff\x00\x01\x3f\xff\xff\xff\xff\xff\xff\xf9" );
+    ]
+
 (* ---------- Btree ---------- *)
 
 let test_btree_basic () =
@@ -932,6 +955,7 @@ let () =
         [
           Alcotest.test_case "next_prefix" `Quick test_next_prefix;
           Alcotest.test_case "prefix scan semantics" `Quick test_prefix_scan_semantics;
+          Alcotest.test_case "known answers" `Quick test_keycodec_known_answers;
           qc codec_roundtrip;
           qc codec_order_preserving;
           qc codec_tpcc_order;
