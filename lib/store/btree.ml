@@ -41,34 +41,37 @@ let array_remove a i =
   Array.blit a (i + 1) b i (n - 1 - i);
   b
 
-(* Binary search: [Ok i] if [keys.(i) = k], otherwise [Error i] where [i]
-   is the insertion point. *)
-let bsearch keys k =
-  let lo = ref 0 and hi = ref (Array.length keys) in
-  let found = ref (-1) in
-  while !found < 0 && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let c = compare k keys.(mid) in
-    if c = 0 then found := mid else if c < 0 then hi := mid else lo := mid + 1
-  done;
-  if !found >= 0 then Ok !found else Error !lo
+(* Binary search over [keys.(lo..hi-1)]: [Ok i] if [keys.(i) = k],
+   otherwise [Error i] where [i] is the insertion point. *)
+let rec bsearch_in (keys : string array) k lo hi =
+  if lo >= hi then Error lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    let c = String.compare k (Array.unsafe_get keys mid) in
+    if c = 0 then Ok mid
+    else if c < 0 then bsearch_in keys k lo mid
+    else bsearch_in keys k (mid + 1) hi
+
+let bsearch keys k = bsearch_in keys k 0 (Array.length keys)
+
+(* First [i] in [lo..hi-1] with [k < seps.(i)], or [hi] if none. *)
+let rec upper_bound (seps : string array) k lo hi =
+  if lo >= hi then lo
+  else
+    let mid = (lo + hi) lsr 1 in
+    if String.compare k (Array.unsafe_get seps mid) < 0 then upper_bound seps k lo mid
+    else upper_bound seps k (mid + 1) hi
 
 (* Index of the child to descend into: subtree [i] holds keys [k] with
-   [seps.(i-1) <= k < seps.(i)]. *)
-let child_index n k =
-  let nseps = Array.length n.seps in
-  let i = ref 0 in
-  while !i < nseps && compare k n.seps.(!i) >= 0 do
-    incr i
-  done;
-  !i
+   [seps.(i-1) <= k < seps.(i)], i.e. the number of separators [<= k]. *)
+let child_index seps k = upper_bound seps k 0 (Array.length seps)
 
 (* ---- find ---- *)
 
 let rec find_node node k =
   match node with
   | Leaf l -> ( match bsearch l.keys k with Ok i -> Some l.vals.(i) | Error _ -> None)
-  | Node n -> find_node n.kids.(child_index n k) k
+  | Node n -> find_node n.kids.(child_index n.seps k) k
 
 let find t k = find_node t.root k
 let mem t k = find t k <> None
@@ -111,7 +114,7 @@ let rec ins ~guard node k v : 'a option * 'a split =
             (None, Some (right.keys.(0), Leaf right))
           end)
   | Node n -> (
-      let i = child_index n k in
+      let i = child_index n.seps k in
       let prev, split = ins ~guard n.kids.(i) k v in
       match split with
       | None -> (prev, None)
@@ -239,7 +242,7 @@ let rec del node k : 'a option =
           Some v
       | Error _ -> None)
   | Node n ->
-      let i = child_index n k in
+      let i = child_index n.seps k in
       let removed = del n.kids.(i) k in
       if removed <> None then fix_child n i;
       removed
@@ -274,7 +277,7 @@ let max_binding t =
 
 (* Leaf that would contain [k], i.e. the leaf reached by descent. *)
 let rec seek_leaf node k =
-  match node with Leaf l -> l | Node n -> seek_leaf n.kids.(child_index n k) k
+  match node with Leaf l -> l | Node n -> seek_leaf n.kids.(child_index n.seps k) k
 
 (* ---- read cursor ---- *)
 
@@ -326,7 +329,7 @@ let rec seek_leaf_hi node k hi =
   match node with
   | Leaf l -> (l, hi)
   | Node n ->
-      let i = child_index n k in
+      let i = child_index n.seps k in
       let hi = if i < Array.length n.seps then Some n.seps.(i) else hi in
       seek_leaf_hi n.kids.(i) k hi
 
@@ -456,7 +459,7 @@ let find_last_lt t k =
         let i = match bsearch l.keys k with Ok i -> i | Error i -> i in
         if i = 0 then None else Some (l.keys.(i - 1), l.vals.(i - 1))
     | Node n ->
-        let i = child_index n k in
+        let i = child_index n.seps k in
         let rec try_child j =
           if j < 0 then None
           else

@@ -116,3 +116,16 @@ val check_invariants : 'a t -> unit
 (** Validate structural invariants (ordering, fill factors, separator
     consistency, leaf chain); raises [Failure] with a description
     otherwise. For tests. *)
+
+(** {2 Node search}
+
+    The two searches every descent makes, exposed so tests can compare
+    them against a linear scan. Both take a strictly ascending array. *)
+
+val bsearch : string array -> string -> (int, int) result
+(** [bsearch keys k] is [Ok i] if [keys.(i) = k], otherwise [Error i]
+    with [i] the insertion point (the number of keys [< k]). *)
+
+val child_index : string array -> string -> int
+(** [child_index seps k] is the number of separators [<= k]: the child
+    of an inner node with separators [seps] whose subtree covers [k]. *)

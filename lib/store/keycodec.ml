@@ -2,36 +2,63 @@ type component = I of int | S of string
 
 let flip_sign x = x lxor min_int
 
-let encode_int buf x =
-  let x = flip_sign x in
-  for i = 7 downto 0 do
-    Buffer.add_char buf (Char.chr ((x lsr (8 * i)) land 0xff))
-  done
-
-let encode_string buf s =
-  String.iter
-    (fun c ->
-      if c = '\x00' then Buffer.add_string buf "\x00\xff" else Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '\x00'
-
 (* Tag bytes keep decode unambiguous and keep I/S ordering stable. *)
 let tag_int = '\x01'
 let tag_string = '\x02'
 
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+(* Big-endian store of the 63-bit [x] as 8 bytes, zero-extended: the top
+   bit is always 0. [Int64.of_int] sign-extends, so mask before storing —
+   a sign-extended store still round-trips and keeps order but changes
+   every byte of every key. *)
+let put_int b pos x =
+  let v = Int64.logand (Int64.of_int (flip_sign x)) Int64.max_int in
+  set64 b pos (if Sys.big_endian then v else bswap64 v)
+
+let count_nuls s =
+  let n = ref 0 in
+  for i = 0 to String.length s - 1 do
+    if String.unsafe_get s i = '\x00' then incr n
+  done;
+  !n
+
+let rec encoded_size acc = function
+  | [] -> acc
+  | I _ :: rest -> encoded_size (acc + 9) rest
+  | S s :: rest -> encoded_size (acc + String.length s + count_nuls s + 2) rest
+
+(* Strings escape [\x00] as [\x00\xff] and end with a [\x00]. *)
+let put_string b pos s =
+  let pos = ref pos in
+  for i = 0 to String.length s - 1 do
+    let ch = String.unsafe_get s i in
+    Bytes.unsafe_set b !pos ch;
+    if ch = '\x00' then begin
+      Bytes.unsafe_set b (!pos + 1) '\xff';
+      pos := !pos + 2
+    end
+    else incr pos
+  done;
+  Bytes.unsafe_set b !pos '\x00';
+  !pos + 1
+
+let rec put_components b pos = function
+  | [] -> ()
+  | I x :: rest ->
+      Bytes.unsafe_set b pos tag_int;
+      put_int b (pos + 1) x;
+      put_components b (pos + 9) rest
+  | S s :: rest ->
+      Bytes.unsafe_set b pos tag_string;
+      put_components b (put_string b (pos + 1) s) rest
+
+(* Written into a buffer of exactly the encoded size: no growth, no copy. *)
 let encode components =
-  let buf = Buffer.create 32 in
-  List.iter
-    (fun c ->
-      match c with
-      | I x ->
-          Buffer.add_char buf tag_int;
-          encode_int buf x
-      | S s ->
-          Buffer.add_char buf tag_string;
-          encode_string buf s)
-    components;
-  Buffer.contents buf
+  let b = Bytes.create (encoded_size 0 components) in
+  put_components b 0 components;
+  Bytes.unsafe_to_string b
 
 let decode s =
   let len = String.length s in

@@ -140,6 +140,19 @@ let order_line_row ~i_id ~supply_w ~quantity ~amount ~delivery_d =
 
 let history_row ~amount = Row.pack [ Row.int_field amount; Row.pad 8 ]
 
+(* ---- read-modify-write of int fields ---- *)
+
+let add_int_field row i delta = Row.set_field row i (Row.int_field (Row.int_at row i + delta))
+
+(* Stock after an order of [ordered] units: quantity, ytd, order_cnt. *)
+let stock_after_order s_row ~new_qty ~ordered =
+  let r = Row.set_field s_row 0 (Row.int_field new_qty) in
+  add_int_field (add_int_field r 1 ordered) 2 1
+
+(* Customer after a payment: balance, ytd_payment, payment_cnt. *)
+let customer_after_payment c_row ~amount =
+  add_int_field (add_int_field (add_int_field c_row 0 (-amount)) 1 amount) 2 1
+
 (* ---- loading ---- *)
 
 let table_names =
@@ -338,13 +351,13 @@ let new_order st rng ~worker txn =
   let ol_cnt = 5 + Sim.Rng.int rng 11 in
   let rollback = Sim.Rng.int rng 100 = 0 in
   let w_row = get_exn txn tb.tw (k_warehouse w) "warehouse" in
-  let _w_tax = Row.to_int (Row.field w_row 1) in
+  let _w_tax = Row.int_at w_row 1 in
   let _c_row = get_exn txn tb.tc (k_customer w d c) "customer" in
   let o_id =
     if p.fast_ids then fast_next_oid st w d
     else begin
       let d_row = get_exn txn tb.td (k_district w d) "district" in
-      let next = Row.to_int (Row.field d_row 0) in
+      let next = Row.int_at d_row 0 in
       Silo.Txn.put txn tb.td (k_district w d) (Row.set_field d_row 0 (Row.int_field (next + 1)));
       next
     end
@@ -366,24 +379,13 @@ let new_order st rng ~worker txn =
       else w
     in
     let i_row = get_exn txn tb.ti (k_item i_id) "item" in
-    let price = Row.to_int (Row.field i_row 0) in
+    let price = Row.int_at i_row 0 in
     let s_key = k_stock supply_w i_id in
     let s_row = get_exn txn tb.ts s_key "stock" in
-    let quantity = Row.to_int (Row.field s_row 0) in
+    let quantity = Row.int_at s_row 0 in
     let ordered = 1 + Sim.Rng.int rng 10 in
     let new_qty = if quantity >= ordered + 10 then quantity - ordered else quantity - ordered + 91 in
-    let s_fields = Row.unpack s_row in
-    let s_row' =
-      match s_fields with
-      | _ :: ytd :: cnt :: rest ->
-          Row.pack
-            (Row.int_field new_qty
-            :: Row.int_field (Row.to_int ytd + ordered)
-            :: Row.int_field (Row.to_int cnt + 1)
-            :: rest)
-      | _ -> failwith "tpcc: bad stock row"
-    in
-    Silo.Txn.put txn tb.ts s_key s_row';
+    Silo.Txn.put txn tb.ts s_key (stock_after_order s_row ~new_qty ~ordered);
     Silo.Txn.put txn tb.tol (k_order_line w d o_id ol)
       (order_line_row ~i_id ~supply_w ~quantity:ordered ~amount:(price * ordered)
          ~delivery_d:0);
@@ -404,24 +406,13 @@ let payment st rng ~worker txn =
   let amount = 100 + Sim.Rng.int rng 499_900 in
   let w_row = get_exn txn tb.tw (k_warehouse w) "warehouse" in
   Silo.Txn.put txn tb.tw (k_warehouse w)
-    (Row.set_field w_row 0 (Row.int_field (Row.to_int (Row.field w_row 0) + amount)));
+    (add_int_field w_row 0 amount);
   let d_row = get_exn txn tb.td (k_district w d) "district" in
   Silo.Txn.put txn tb.td (k_district w d)
-    (Row.set_field d_row 1 (Row.int_field (Row.to_int (Row.field d_row 1) + amount)));
+    (add_int_field d_row 1 amount);
   let c_key = k_customer w d c in
   let c_row = get_exn txn tb.tc c_key "customer" in
-  let fields = Row.unpack c_row in
-  let c_row' =
-    match fields with
-    | bal :: ytd :: cnt :: rest ->
-        Row.pack
-          (Row.int_field (Row.to_int bal - amount)
-          :: Row.int_field (Row.to_int ytd + amount)
-          :: Row.int_field (Row.to_int cnt + 1)
-          :: rest)
-    | _ -> failwith "tpcc: bad customer row"
-  in
-  Silo.Txn.put txn tb.tc c_key c_row';
+  Silo.Txn.put txn tb.tc c_key (customer_after_payment c_row ~amount);
   st.history_seq <- st.history_seq + 1;
   Silo.Txn.put txn tb.th (k_history w d c worker st.history_seq) (history_row ~amount)
 
@@ -438,7 +429,7 @@ let order_status st rng ~worker txn =
   | Some (_, o_field) ->
       let o = Row.to_int o_field in
       let o_row = get_exn txn tb.to_ (k_order w d o) "order" in
-      let ol_cnt = Row.to_int (Row.field o_row 2) in
+      let ol_cnt = Row.int_at o_row 2 in
       for ol = 1 to ol_cnt do
         ignore (get_exn txn tb.tol (k_order_line w d o ol) "order_line")
       done
@@ -451,7 +442,7 @@ let stock_level st rng ~worker txn =
   let threshold = 10 + Sim.Rng.int rng 11 in
   let next_o =
     if p.fast_ids then peek_next_oid st w d
-    else Row.to_int (Row.field (get_exn txn tb.td (k_district w d) "district") 0)
+    else Row.int_at (get_exn txn tb.td (k_district w d) "district") 0
   in
   (* Order lines of the last 20 orders of the district. *)
   let lo = k_order_line w d (max 1 (next_o - 20)) 0 in
@@ -461,11 +452,11 @@ let stock_level st rng ~worker txn =
   let low = ref 0 in
   List.iter
     (fun (_, row) ->
-      let i_id = Row.to_int (Row.field row 0) in
+      let i_id = Row.int_at row 0 in
       if not (Hashtbl.mem seen i_id) then begin
         Hashtbl.add seen i_id ();
         let s_row = get_exn txn tb.ts (k_stock w i_id) "stock" in
-        if Row.to_int (Row.field s_row 0) < threshold then incr low
+        if Row.int_at s_row 0 < threshold then incr low
       end)
     lines
 
@@ -487,30 +478,20 @@ let delivery st rng ~worker txn =
         Silo.Txn.delete txn tb.tno no_key;
         let o_key = k_order w d o in
         let o_row = get_exn txn tb.to_ o_key "order" in
-        let c = Row.to_int (Row.field o_row 0) in
-        let ol_cnt = Row.to_int (Row.field o_row 2) in
+        let c = Row.int_at o_row 0 in
+        let ol_cnt = Row.int_at o_row 2 in
         Silo.Txn.put txn tb.to_ o_key (Row.set_field o_row 1 (Row.int_field carrier));
         let total = ref 0 in
         for ol = 1 to ol_cnt do
           let ol_key = k_order_line w d o ol in
           let ol_row = get_exn txn tb.tol ol_key "order_line" in
-          total := !total + Row.to_int (Row.field ol_row 3);
+          total := !total + Row.int_at ol_row 3;
           Silo.Txn.put txn tb.tol ol_key (Row.set_field ol_row 4 (Row.int_field 1))
         done;
         let c_key = k_customer w d c in
         let c_row = get_exn txn tb.tc c_key "customer" in
-        let fields = Row.unpack c_row in
-        let c_row' =
-          match fields with
-          | bal :: ytd :: cnt :: dcnt :: rest ->
-              Row.pack
-                (Row.int_field (Row.to_int bal + !total)
-                :: ytd :: cnt
-                :: Row.int_field (Row.to_int dcnt + 1)
-                :: rest)
-          | _ -> failwith "tpcc: bad customer row"
-        in
-        Silo.Txn.put txn tb.tc c_key c_row'
+        let c_row' = add_int_field c_row 0 !total in
+        Silo.Txn.put txn tb.tc c_key (add_int_field c_row' 3 1)
   done
 
 let run_kind st rng ~worker ~nworkers:_ kind txn =
@@ -605,17 +586,9 @@ let stock_update st txn ~supply_w ~i_id ~qty =
   let tb = st.tb in
   let s_key = k_stock supply_w i_id in
   let s_row = get_exn txn tb.ts s_key "stock" in
-  let quantity = Row.to_int (Row.field s_row 0) in
+  let quantity = Row.int_at s_row 0 in
   let new_qty = if quantity >= qty + 10 then quantity - qty else quantity - qty + 91 in
-  match Row.unpack s_row with
-  | _ :: ytd :: cnt :: rest ->
-      Silo.Txn.put txn tb.ts s_key
-        (Row.pack
-           (Row.int_field new_qty
-           :: Row.int_field (Row.to_int ytd + qty)
-           :: Row.int_field (Row.to_int cnt + 1)
-           :: rest))
-  | _ -> failwith "tpcc: bad stock row"
+  Silo.Txn.put txn tb.ts s_key (stock_after_order s_row ~new_qty ~ordered:qty)
 
 (* History keys carry a worker component; client-op transactions use a
    sentinel outside any embedded worker id range. *)
@@ -630,7 +603,7 @@ let c_new_order st ~w ~remote ~seed txn =
     if p.fast_ids then fast_next_oid st w d
     else begin
       let d_row = get_exn txn tb.td (k_district w d) "district" in
-      let next = Row.to_int (Row.field d_row 0) in
+      let next = Row.int_at d_row 0 in
       Silo.Txn.put txn tb.td (k_district w d)
         (Row.set_field d_row 0 (Row.int_field (next + 1)));
       next
@@ -653,7 +626,7 @@ let c_new_order st ~w ~remote ~seed txn =
         | _ -> (w, true)
       in
       let i_row = get_exn txn tb.ti (k_item i_id) "item" in
-      let price = Row.to_int (Row.field i_row 0) in
+      let price = Row.int_at i_row 0 in
       if local then stock_update st txn ~supply_w:w ~i_id ~qty;
       Silo.Txn.put txn tb.tol
         (k_order_line w d o_id (i + 1))
@@ -676,15 +649,7 @@ let pay_customer st txn ~cw ~cd ~c ~amount =
   let tb = st.tb in
   let c_key = k_customer cw cd c in
   let c_row = get_exn txn tb.tc c_key "customer" in
-  (match Row.unpack c_row with
-  | bal :: ytd :: cnt :: rest ->
-      Silo.Txn.put txn tb.tc c_key
-        (Row.pack
-           (Row.int_field (Row.to_int bal - amount)
-           :: Row.int_field (Row.to_int ytd + amount)
-           :: Row.int_field (Row.to_int cnt + 1)
-           :: rest))
-  | _ -> failwith "tpcc: bad customer row");
+  Silo.Txn.put txn tb.tc c_key (customer_after_payment c_row ~amount);
   st.history_seq <- st.history_seq + 1;
   Silo.Txn.put txn tb.th
     (k_history cw cd c client_worker_slot st.history_seq)
@@ -694,10 +659,10 @@ let pay_home st txn ~w ~d ~amount =
   let tb = st.tb in
   let w_row = get_exn txn tb.tw (k_warehouse w) "warehouse" in
   Silo.Txn.put txn tb.tw (k_warehouse w)
-    (Row.set_field w_row 0 (Row.int_field (Row.to_int (Row.field w_row 0) + amount)));
+    (add_int_field w_row 0 amount);
   let d_row = get_exn txn tb.td (k_district w d) "district" in
   Silo.Txn.put txn tb.td (k_district w d)
-    (Row.set_field d_row 1 (Row.int_field (Row.to_int (Row.field d_row 1) + amount)))
+    (add_int_field d_row 1 amount)
 
 let c_payment st ~w ~seed txn =
   let p = st.p in
@@ -720,7 +685,7 @@ let c_order_status st ~w ~seed txn =
   | Some (_, o_field) ->
       let o = Row.to_int o_field in
       let o_row = get_exn txn tb.to_ (k_order w d o) "order" in
-      let ol_cnt = Row.to_int (Row.field o_row 2) in
+      let ol_cnt = Row.int_at o_row 2 in
       for ol = 1 to ol_cnt do
         ignore (get_exn txn tb.tol (k_order_line w d o ol) "order_line")
       done
@@ -732,7 +697,7 @@ let c_stock_level st ~w ~seed txn =
   let threshold = 10 + Sim.Rng.int rng 11 in
   let next_o =
     if p.fast_ids then peek_next_oid st w d
-    else Row.to_int (Row.field (get_exn txn tb.td (k_district w d) "district") 0)
+    else Row.int_at (get_exn txn tb.td (k_district w d) "district") 0
   in
   let lo = k_order_line w d (max 1 (next_o - 20)) 0 in
   let _, hi = range [ I w; I d ] in
@@ -741,11 +706,11 @@ let c_stock_level st ~w ~seed txn =
   let low = ref 0 in
   List.iter
     (fun (_, row) ->
-      let i_id = Row.to_int (Row.field row 0) in
+      let i_id = Row.int_at row 0 in
       if not (Hashtbl.mem seen i_id) then begin
         Hashtbl.add seen i_id ();
         let s_row = get_exn txn tb.ts (k_stock w i_id) "stock" in
-        if Row.to_int (Row.field s_row 0) < threshold then incr low
+        if Row.int_at s_row 0 < threshold then incr low
       end)
     lines
 
@@ -766,30 +731,20 @@ let c_delivery st ~w ~seed txn =
         Silo.Txn.delete txn tb.tno no_key;
         let o_key = k_order w d o in
         let o_row = get_exn txn tb.to_ o_key "order" in
-        let c = Row.to_int (Row.field o_row 0) in
-        let ol_cnt = Row.to_int (Row.field o_row 2) in
+        let c = Row.int_at o_row 0 in
+        let ol_cnt = Row.int_at o_row 2 in
         Silo.Txn.put txn tb.to_ o_key (Row.set_field o_row 1 (Row.int_field carrier));
         let total = ref 0 in
         for ol = 1 to ol_cnt do
           let ol_key = k_order_line w d o ol in
           let ol_row = get_exn txn tb.tol ol_key "order_line" in
-          total := !total + Row.to_int (Row.field ol_row 3);
+          total := !total + Row.int_at ol_row 3;
           Silo.Txn.put txn tb.tol ol_key (Row.set_field ol_row 4 (Row.int_field 1))
         done;
         let c_key = k_customer w d c in
         let c_row = get_exn txn tb.tc c_key "customer" in
-        let fields = Row.unpack c_row in
-        let c_row' =
-          match fields with
-          | bal :: ytd :: cnt :: dcnt :: rest ->
-              Row.pack
-                (Row.int_field (Row.to_int bal + !total)
-                :: ytd :: cnt
-                :: Row.int_field (Row.to_int dcnt + 1)
-                :: rest)
-          | _ -> failwith "tpcc: bad customer row"
-        in
-        Silo.Txn.put txn tb.tc c_key c_row'
+        let c_row' = add_int_field c_row 0 !total in
+        Silo.Txn.put txn tb.tc c_key (add_int_field c_row' 3 1)
   done
 
 let client_op p db ~payload txn =
@@ -884,12 +839,12 @@ let consistency_errors p db =
     match live warehouse (k_warehouse w) with
     | None -> err "warehouse %d missing" w
     | Some w_row ->
-        let w_ytd = Row.to_int (Row.field w_row 0) in
+        let w_ytd = Row.int_at w_row 0 in
         let d_sum = ref 0 in
         for d = 1 to p.districts do
           match live district (k_district w d) with
           | None -> err "district %d/%d missing" w d
-          | Some d_row -> d_sum := !d_sum + Row.to_int (Row.field d_row 1)
+          | Some d_row -> d_sum := !d_sum + Row.int_at d_row 1
         done;
         if w_ytd <> !d_sum then err "W_YTD mismatch for w=%d: %d <> %d" w w_ytd !d_sum
   done;
@@ -900,15 +855,15 @@ let consistency_errors p db =
       if not r.Store.Record.deleted then begin
         match Store.Keycodec.decode key with
         | [ I w; I d; I o ] ->
-            let ol_cnt = Row.to_int (Row.field r.Store.Record.value 2) in
-            let delivered = Row.to_int (Row.field r.Store.Record.value 1) <> 0 in
+            let ol_cnt = Row.int_at r.Store.Record.value 2 in
+            let delivered = Row.int_at r.Store.Record.value 1 <> 0 in
             for ol = 1 to ol_cnt do
               match Store.Table.get_live order_line (k_order_line w d o ol) with
               | None -> err "order %d/%d/%d missing line %d" w d o ol
               | Some lr ->
                   if delivered then
                     delivered_amount :=
-                      !delivered_amount + Row.to_int (Row.field lr.Store.Record.value 3)
+                      !delivered_amount + Row.int_at lr.Store.Record.value 3
             done
         | _ -> err "bad order key"
       end);
@@ -924,7 +879,7 @@ let consistency_errors p db =
       if not r.Store.Record.deleted then begin
         let row = r.Store.Record.value in
         balance_sum :=
-          !balance_sum + Row.to_int (Row.field row 0) + Row.to_int (Row.field row 1)
+          !balance_sum + Row.int_at row 0 + Row.int_at row 1
       end);
   if !balance_sum <> !delivered_amount then
     err "balance equation: sum(C_BALANCE + C_YTD_PAYMENT) = %d but delivered amounts = %d"

@@ -154,6 +154,56 @@ let test_keycodec_known_answers () =
 
 (* ---------- Btree ---------- *)
 
+(* Node search: the binary searches against a linear scan over random
+   strictly ascending arrays (0 to 33 entries, a node's range and one
+   past a split), probing every key, a string just above each key, a
+   string below all of them, one above all of them and random strings. *)
+let linear_bsearch keys k =
+  let n = Array.length keys in
+  let i = ref 0 in
+  while !i < n && String.compare keys.(!i) k < 0 do
+    incr i
+  done;
+  if !i < n && keys.(!i) = k then Ok !i else Error !i
+
+let linear_child_index seps k =
+  let n = Array.length seps in
+  let i = ref 0 in
+  while !i < n && String.compare k seps.(!i) >= 0 do
+    incr i
+  done;
+  !i
+
+let btree_node_search_qcheck =
+  let key = QCheck.Gen.(string_size ~gen:(oneofl [ 'a'; 'b'; 'c'; '\x00'; '\xff' ]) (0 -- 4)) in
+  let gen =
+    QCheck.Gen.(
+      pair
+        (map
+           (fun ks -> Array.of_list (List.sort_uniq String.compare ks))
+           (list_size (0 -- 33) key))
+        (list_size (0 -- 8) key))
+  in
+  let print (keys, extra) =
+    Printf.sprintf "keys=[%s] extra=[%s]"
+      (String.concat "; " (Array.to_list (Array.map (Printf.sprintf "%S") keys)))
+      (String.concat "; " (List.map (Printf.sprintf "%S") extra))
+  in
+  QCheck.Test.make ~name:"btree node search equals a linear scan" ~count:1000
+    (QCheck.make ~print gen)
+    (fun (keys, extra) ->
+      let probes =
+        ("" :: "\xff\xff\xff\xff\xff" :: extra)
+        @ Array.to_list keys
+        @ Array.to_list (Array.map (fun k -> k ^ "\x00") keys)
+      in
+      List.for_all
+        (fun k ->
+          Store.Btree.bsearch keys k = linear_bsearch keys k
+          && Store.Btree.child_index keys k = linear_child_index keys k)
+        probes)
+
+
 let test_btree_basic () =
   let t = Store.Btree.create () in
   check_bool "empty" true (Store.Btree.is_empty t);
@@ -975,6 +1025,7 @@ let () =
           Alcotest.test_case "cursor walk" `Quick test_btree_cursor_walk;
           Alcotest.test_case "apply_sorted validation" `Quick
             test_btree_apply_sorted_validation;
+          qc btree_node_search_qcheck;
           qc btree_model_qcheck;
           qc btree_range_qcheck;
           qc btree_find_last_lt_qcheck;

@@ -22,6 +22,65 @@ let test_row_field_ops () =
   check_int "set_field" 43 (Workload.Row.to_int (Workload.Row.field row' 1));
   Alcotest.(check string) "others untouched" "c" (Workload.Row.field row' 2)
 
+(* In-place access against the list reference: [field], [int_at] and
+   [set_field] must agree with [List.nth (unpack r)] and
+   [pack (List.mapi ...)] on any row. *)
+let row_field_gen =
+  let open QCheck.Gen in
+  oneof
+    [
+      map string_of_int int;
+      map string_of_int (int_range (-1000) 1000);
+      map string_of_int (oneofl [ min_int; max_int; 0 ]);
+      oneofl [ ""; "-"; "-0"; "007"; "+5"; "0x1f"; "1_0"; "12:3"; "9999999999999999999" ];
+      string_size (0 -- 12);
+    ]
+
+let row_access_qcheck =
+  let gen =
+    QCheck.Gen.(
+      list_size (1 -- 8) row_field_gen >>= fun fields ->
+      pair (return fields)
+        (pair (int_bound (List.length fields - 1)) (string_size (0 -- 14))))
+  in
+  let print (fields, (i, v)) =
+    Printf.sprintf "fields=[%s] i=%d v=%S"
+      (String.concat "; " (List.map (Printf.sprintf "%S") fields))
+      i v
+  in
+  QCheck.Test.make ~name:"row field/int_at/set_field equal the list reference" ~count:1000
+    (QCheck.make ~print gen)
+    (fun (fields, (i, v)) ->
+      let open Workload.Row in
+      let r = pack fields in
+      let expect = List.nth (unpack r) i in
+      let as_int f = match f () with n -> Ok n | exception Failure _ -> Error () in
+      field r i = expect
+      && as_int (fun () -> int_at r i) = as_int (fun () -> to_int expect)
+      && set_field r i v = pack (List.mapi (fun j f -> if j = i then v else f) fields))
+
+let test_row_malformed () =
+  let raises name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  let good = Workload.Row.pack [ "ab" ] in
+  List.iter
+    (fun hdr ->
+      let first = hdr ^ "abc" ^ good and second = good ^ hdr ^ "abc" in
+      raises ("unpack " ^ hdr) (fun () -> Workload.Row.unpack first);
+      raises ("unpack 2nd " ^ hdr) (fun () -> Workload.Row.unpack second);
+      raises ("field " ^ hdr) (fun () -> Workload.Row.field first 0);
+      raises ("field 2nd " ^ hdr) (fun () -> Workload.Row.field second 1);
+      raises ("int_at " ^ hdr) (fun () -> Workload.Row.int_at first 0);
+      raises ("set_field " ^ hdr) (fun () -> Workload.Row.set_field first 0 "z"))
+    [ "0x3:"; "+3:"; "0_3:"; "-1:"; " 3:"; ":"; "a:"; "9:"; "99999999999999999999999:" ];
+  raises "no separator" (fun () -> Workload.Row.unpack "3");
+  raises "field past the end" (fun () -> Workload.Row.field good 1);
+  raises "negative index" (fun () -> Workload.Row.field good (-1));
+  raises "set_field past the end" (fun () -> Workload.Row.set_field good 1 "z")
+
 (* ---------- Zipf ---------- *)
 
 let test_zipf_bounds_and_skew () =
@@ -226,8 +285,12 @@ let () =
   Alcotest.run "workload"
     [
       ( "row",
-        [ Alcotest.test_case "field ops" `Quick test_row_field_ops; qc row_roundtrip_qcheck ]
-      );
+        [
+          Alcotest.test_case "field ops" `Quick test_row_field_ops;
+          Alcotest.test_case "malformed headers" `Quick test_row_malformed;
+          qc row_roundtrip_qcheck;
+          qc row_access_qcheck;
+        ] );
       ( "zipf",
         [
           Alcotest.test_case "bounds and skew" `Quick test_zipf_bounds_and_skew;
