@@ -2371,6 +2371,68 @@ let test_stats_window_excludes_prewarmup () =
   check_int "surviving sample is the post-window one" (30 * ms)
     (Sim.Metrics.Hist.percentile (Rolis.Stats.latency st) 50.0)
 
+(* ---------- chaos outcome golden ---------- *)
+
+(* [Chaos.pp_outcome] lines for seeds 1-3 of each CI chaos mode, with the
+   arguments [rolis-cli chaos] passes for the flags in the CI workflow.
+   Each line folds a whole seeded run — fault plan, client retries,
+   failovers, checkpoints, membership operations, every final check — so
+   a refactor that keeps these bytes kept the simulated behaviour. *)
+let chaos_golden =
+  [
+    ( "default",
+      (fun seed -> Rolis.Chaos.run_seed ~seed ()),
+      [
+        "seed 1: ok (released=276 executed=276 crashes=3 restarts=3 epochs=4 entries=2923 acked=355 retries=143 busy=0 parked=7 ckpts=0 truncs=0 rebuilds=0 adds=0 removes=0 handoffs=0 skipped=0)";
+        "seed 2: ok (released=152 executed=152 crashes=1 restarts=1 epochs=2 entries=2292 acked=284 retries=158 busy=0 parked=2 ckpts=0 truncs=0 rebuilds=0 adds=0 removes=0 handoffs=0 skipped=0)";
+        "seed 3: ok (released=0 executed=0 crashes=3 restarts=3 epochs=6 entries=1000 acked=64 retries=125 busy=0 parked=8 ckpts=0 truncs=0 rebuilds=0 adds=0 removes=0 handoffs=0 skipped=0)";
+      ] );
+    ( "checkpoint",
+      (fun seed ->
+          Rolis.Chaos.run_seed ~checkpoint_interval:(150 * ms)
+            ~history_warmup:(1_500 * ms) ~duration:(2 * s) ~seed ()),
+      [
+        "seed 1: ok (released=141 executed=141 crashes=3 restarts=4 epochs=3 entries=2365 acked=522 retries=97 busy=0 parked=7 ckpts=60 truncs=19 rebuilds=0 adds=0 removes=0 handoffs=0 skipped=0)";
+        "seed 2: ok (released=37 executed=37 crashes=1 restarts=2 epochs=2 entries=2315 acked=406 retries=124 busy=0 parked=1 ckpts=80 truncs=19 rebuilds=0 adds=0 removes=0 handoffs=0 skipped=0)";
+        "seed 3: ok (released=0 executed=0 crashes=3 restarts=4 epochs=5 entries=1548 acked=304 retries=91 busy=0 parked=4 ckpts=70 truncs=14 rebuilds=0 adds=0 removes=0 handoffs=0 skipped=0)";
+      ] );
+    ( "ops",
+      (fun seed ->
+          Rolis.Chaos.run_seed ~ops:true ~spares:2 ~duration:(6 * s) ~seed ()),
+      [
+        "seed 1: ok (released=256 executed=256 crashes=2 restarts=1 epochs=5 entries=4482 acked=1008 retries=61 busy=0 parked=0 ckpts=40 truncs=27 rebuilds=0 adds=1 removes=1 handoffs=3 skipped=2)";
+        "seed 2: ok (released=370 executed=370 crashes=4 restarts=4 epochs=3 entries=4214 acked=914 retries=59 busy=0 parked=0 ckpts=23 truncs=22 rebuilds=0 adds=1 removes=0 handoffs=0 skipped=0)";
+        "seed 3: ok (released=523 executed=523 crashes=4 restarts=3 epochs=3 entries=3968 acked=907 retries=59 busy=0 parked=0 ckpts=26 truncs=20 rebuilds=0 adds=1 removes=0 handoffs=0 skipped=0)";
+      ] );
+    ( "follower-reads",
+      (fun seed -> Rolis.Chaos.run_seed ~follower_reads:true ~seed ()),
+      [
+        "seed 1: ok (released=12 executed=12 crashes=2 restarts=4 epochs=5 entries=2317 acked=165 retries=139 busy=0 parked=8 ckpts=0 truncs=0 rebuilds=0 adds=0 removes=0 handoffs=0 skipped=0) (reads: acked=16229 served=11 parked=2 redirected=0 misses=0 audit_skipped=0)";
+        "seed 2: ok (released=111 executed=111 crashes=1 restarts=2 epochs=2 entries=2872 acked=437 retries=79 busy=0 parked=0 ckpts=0 truncs=0 rebuilds=0 adds=0 removes=0 handoffs=0 skipped=0) (reads: acked=22137 served=9845 parked=57 redirected=12 misses=192 audit_skipped=0)";
+        "seed 3: ok (released=399 executed=399 crashes=2 restarts=2 epochs=1 entries=2522 acked=399 retries=86 busy=0 parked=0 ckpts=0 truncs=0 rebuilds=0 adds=0 removes=0 handoffs=0 skipped=0) (reads: acked=32870 served=30034 parked=94 redirected=48 misses=736 audit_skipped=0)";
+      ] );
+    ( "shards 2",
+      (fun seed ->
+          Rolis.Chaos.run_sharded_seed ~shards:2 ~cross_pct:0.2 ~drivers:8
+            ~accounts_per_shard:24 ~duration:(2 * s) ~seed ()),
+      [
+        "seed 1: ok (released=4 executed=4 crashes=4 restarts=6 epochs=3 entries=3607 acked=110 retries=187 busy=0 parked=0 ckpts=0 truncs=0 rebuilds=0 adds=0 removes=0 handoffs=0 skipped=0) (shards=2 cross: committed=12 aborted=0)";
+        "seed 2: ok (released=1 executed=1 crashes=5 restarts=7 epochs=5 entries=4605 acked=177 retries=161 busy=0 parked=0 ckpts=0 truncs=0 rebuilds=0 adds=0 removes=0 handoffs=0 skipped=0) (shards=2 cross: committed=27 aborted=0)";
+        "seed 3: ok (released=5 executed=5 crashes=4 restarts=5 epochs=2 entries=5371 acked=106 retries=1922 busy=0 parked=0 ckpts=0 truncs=0 rebuilds=0 adds=0 removes=0 handoffs=0 skipped=0) (shards=2 cross: committed=14 aborted=0)";
+      ] );
+  ]
+
+let test_chaos_outcome_golden () =
+  List.iter
+    (fun (mode, run, golden) ->
+      List.iteri
+        (fun i expected ->
+          let line = Format.asprintf "%a" Rolis.Chaos.pp_outcome (run (i + 1)) in
+          Alcotest.(check string) (Printf.sprintf "%s seed %d" mode (i + 1))
+            expected line)
+        golden)
+    chaos_golden
+
 let () =
   Alcotest.run "rolis"
     [
@@ -2517,4 +2579,6 @@ let () =
           Alcotest.test_case "window excludes pre-warm-up latency" `Quick
             test_stats_window_excludes_prewarmup;
         ] );
+      ( "chaos",
+        [ Alcotest.test_case "outcome golden" `Quick test_chaos_outcome_golden ] );
     ]
