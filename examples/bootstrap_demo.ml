@@ -1,6 +1,9 @@
-(* Adding a brand-new replica without snapshots (paper §4.3): pull a live
-   copy from a working follower, then catch up by replaying its retained
-   log — idempotent compare-and-swap makes the race harmless.
+(* Adding a brand-new replica without snapshots (paper §4.3): while the
+   cluster keeps committing, a dark spare machine joins as a non-voting
+   learner seeded from the union of its peers' journals, catches up over
+   the ordinary fetch path, and is promoted to voter by a joint-consensus
+   membership change. Replay is an idempotent per-key compare-and-swap,
+   so entries that race with the seeding cannot corrupt the copy.
 
    Run with: dune exec examples/bootstrap_demo.exe *)
 
@@ -24,49 +27,44 @@ let () =
       Rolis.Config.workers = 4;
       cores = 8;
       batch_size = 100;
+      (* Replica 3 is the spare: created dark, it joins only through
+         [Cluster.add_replica]. No checkpoints: the learner is seeded from
+         the archived journals alone. *)
+      spare_replicas = 1;
       archive_entries = true;
       costs = { Silo.Costs.default with Silo.Costs.txn_begin_ns = 20_000 };
     }
   in
   let cluster = Rolis.Cluster.create cfg app in
   let eng = Rolis.Cluster.engine cluster in
-  (* The empty machine that wants to join. *)
-  let new_cpu = Sim.Cpu.create eng ~cores:8 () in
-  let new_db = Silo.Db.create eng new_cpu ~physical_deletes:false () in
-  Printf.printf "Running the cluster; starting a bootstrap pull at t = 0.5s...\n%!";
-  Sim.Engine.schedule eng (500 * ms) (fun () ->
-      ignore
-        (Sim.Engine.spawn eng ~name:"bootstrap" (fun () ->
-             let src = Rolis.Cluster.replica cluster 1 in
-             let rows, applies = Rolis.Bootstrap.sync_new_replica ~src ~dst:new_db () in
-             Printf.printf "  [t=%.2fs] snapshot pulled: %d rows, %d log applies won\n%!"
-               (float_of_int (Sim.Engine.now eng) /. 1e9)
-               rows applies)));
+  let now () = float_of_int (Sim.Engine.now eng) /. 1e9 in
+  let added = ref false in
+  Printf.printf "Running the cluster; adding spare replica 3 at t = 0.5s...\n%!";
+  ignore
+    (Sim.Engine.spawn eng ~name:"add-replica" (fun () ->
+         Sim.Engine.sleep (500 * ms);
+         added := Rolis.Cluster.add_replica cluster 3;
+         Printf.printf "  [t=%.2fs] add-replica %s: voters = [%s]\n%!" (now ())
+           (if !added then "committed" else "refused")
+           (String.concat "; "
+              (List.map string_of_int (Rolis.Cluster.members cluster)))));
   Rolis.Cluster.run cluster ~duration:Sim.Engine.s ();
-  (* Freeze the workload, drain, then top up the new replica with the
-     entries that raced with the pull. *)
+  (* Freeze the workload and drain so every replica finishes replay. *)
   stopped := true;
   Rolis.Cluster.run cluster ~duration:Sim.Engine.s ();
-  let done_ = ref false in
-  ignore
-    (Sim.Engine.spawn eng (fun () ->
-         let src = Rolis.Cluster.replica cluster 1 in
-         let n =
-           Rolis.Bootstrap.replay_entries ~dst:new_db (Rolis.Replica.archived_entries src)
-         in
-         Printf.printf "top-up replay: %d applies won (idempotent re-replay)\n%!" n;
-         done_ := true));
-  Rolis.Cluster.run cluster ~duration:(100 * ms) ();
-  assert !done_;
-  (* Compare the new replica against its source. *)
-  let dump db =
-    let t = Silo.Db.table db "counters" in
+  let dump r =
+    let t = Silo.Db.table (Rolis.Replica.db r) "counters" in
     let acc = ref [] in
     Store.Table.iter t (fun k r ->
         if not r.Store.Record.deleted then acc := (k, r.Store.Record.value) :: !acc);
     List.rev !acc
   in
-  let src_state = dump (Rolis.Replica.db (Rolis.Cluster.replica cluster 1)) in
-  let new_state = dump new_db in
-  Printf.printf "new replica matches its sync source: %b (%d keys)\n"
-    (src_state = new_state) (List.length new_state)
+  let fresh = Rolis.Cluster.replica cluster 3 in
+  let reference = dump (Rolis.Cluster.replica cluster 1) in
+  let matches = dump fresh = reference in
+  Printf.printf "released transactions: %d\n" (Rolis.Cluster.released cluster);
+  Printf.printf "new replica journal: %d entries\n"
+    (Rolis.Replica.journal_length fresh);
+  Printf.printf "new replica matches its peers: %b (%d keys)\n" matches
+    (List.length reference);
+  if not (!added && matches) then exit 1

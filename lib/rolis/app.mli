@@ -4,7 +4,7 @@
     generates transaction bodies. [setup] runs identically on every
     replica before the simulation starts (replicas begin in sync, as in
     the paper's setup; adding an out-of-sync replica goes through
-    {!Bootstrap}). [make_worker] is called once per worker per replica and
+    {!Cluster.add_replica}). [make_worker] is called once per worker per replica and
     returns a generator producing one transaction body per call; the body
     runs under {!Silo.Db.run} on the leader. *)
 

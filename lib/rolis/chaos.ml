@@ -147,6 +147,43 @@ let pp_outcome fmt o =
 let chaos_costs =
   { Silo.Costs.default with Silo.Costs.txn_begin_ns = 50_000; abort_ns = 5_000 }
 
+(* The deployment both harnesses start from: small, fast-failing timers,
+   journals archived for the history audits, and every random draw a
+   function of [seed]. *)
+let base_cfg ~replicas ~workers ~clients ~seed =
+  {
+    Config.default with
+    Config.replicas;
+    workers;
+    cores = 2 * workers;
+    batch_size = 50;
+    costs = chaos_costs;
+    physical_serialization = true;
+    archive_entries = true;
+    heartbeat_interval = 50 * ms;
+    election_timeout = 300 * ms;
+    clients;
+    seed = Int64.of_int seed;
+  }
+
+(* Run the fault [plan] against [cluster], counting its crashes and
+   restarts. The membership actions only occur in ops plans. *)
+let spawn_nemesis cluster ~seed ~crashes ~restarts plan =
+  Log.debug (fun m -> m "seed %d plan:@.%a" seed Sim.Fault.pp_plan plan);
+  ignore
+    (Sim.Fault.spawn (Cluster.network cluster)
+       ~on_crash:(fun i ->
+         incr crashes;
+         Cluster.crash_replica cluster i)
+       ~on_restart:(fun i ->
+         incr restarts;
+         Cluster.restart_replica cluster i)
+       ~on_add:(fun i -> ignore (Cluster.add_replica cluster i))
+       ~on_remove:(fun i -> ignore (Cluster.remove_replica cluster i))
+       ~on_handoff:(fun i -> ignore (Cluster.handoff cluster ~target:i))
+       ~on_step:(fun a -> Log.debug (fun m -> m "nemesis: %a" Sim.Fault.pp_action a))
+       plan)
+
 (* Quiesce, once the caller has stopped the workload: heal every network
    and clear its faults, revive stragglers the plan's own quiesce tail may
    have missed — but only nodes that are still part of the deployment:
@@ -207,19 +244,8 @@ let run_seed ?(replicas = 3) ?(workers = 4) ?(clients = 8) ?(accounts = 48)
   let spares = if ops then spares else 0 in
   let cfg =
     {
-      Config.default with
-      Config.replicas;
-      workers;
-      cores = 2 * workers;
-      batch_size = 50;
-      costs = chaos_costs;
-      physical_serialization = true;
-      archive_entries = true;
-      heartbeat_interval = 50 * ms;
-      election_timeout = 300 * ms;
-      clients = clients + read_clients;
-      seed = Int64.of_int seed;
-      follower_reads;
+      (base_cfg ~replicas ~workers ~clients:(clients + read_clients) ~seed) with
+      Config.follower_reads;
       read_lease;
       wan_profile;
       (* Checkpoint chaos: short retention (the floor is the election
@@ -291,20 +317,7 @@ let run_seed ?(replicas = 3) ?(workers = 4) ?(clients = 8) ?(accounts = 48)
             ~min_members:cfg.Config.min_members ()
         else Sim.Fault.random_plan nrng ~nodes:replicas ()
       in
-      Log.debug (fun m -> m "seed %d plan:@.%a" seed Sim.Fault.pp_plan plan);
-      ignore
-        (Sim.Fault.spawn net
-           ~on_crash:(fun i ->
-             incr crashes;
-             Cluster.crash_replica cluster i)
-           ~on_restart:(fun i ->
-             incr restarts;
-             Cluster.restart_replica cluster i)
-           ~on_add:(fun i -> ignore (Cluster.add_replica cluster i))
-           ~on_remove:(fun i -> ignore (Cluster.remove_replica cluster i))
-           ~on_handoff:(fun i -> ignore (Cluster.handoff cluster ~target:i))
-           ~on_step:(fun a -> Log.debug (fun m -> m "nemesis: %a" Sim.Fault.pp_action a))
-           plan);
+      spawn_nemesis cluster ~seed ~crashes ~restarts plan;
       Cluster.run cluster ~duration ();
       stopped := true;
       quiesce [| cluster |] ~restarts ~run:(fun duration ->
@@ -383,19 +396,8 @@ let run_sharded_seed ?(shards = 2) ?(cross_pct = 0.2) ?(replicas = 3)
   let router = Router.ycsb ~keys:accounts ~shards in
   let cfg =
     {
-      Config.default with
-      Config.replicas;
-      workers;
-      cores = 2 * workers;
-      batch_size = 50;
-      costs = chaos_costs;
-      physical_serialization = true;
-      archive_entries = true;
-      heartbeat_interval = 50 * ms;
-      election_timeout = 300 * ms;
-      clients = drivers;
-      seed = Int64.of_int seed;
-      shards;
+      (base_cfg ~replicas ~workers ~clients:drivers ~seed) with
+      Config.shards;
       cross_pct;
     }
   in
@@ -465,19 +467,8 @@ let run_sharded_seed ?(shards = 2) ?(cross_pct = 0.2) ?(replicas = 3)
       Array.iter
         (fun cluster ->
           let nrng = Sim.Rng.split (Sim.Engine.rng eng) in
-          let plan = Sim.Fault.random_plan nrng ~nodes:replicas () in
-          Log.debug (fun m -> m "seed %d plan:@.%a" seed Sim.Fault.pp_plan plan);
-          ignore
-            (Sim.Fault.spawn (Cluster.network cluster)
-               ~on_crash:(fun i ->
-                 incr crashes;
-                 Cluster.crash_replica cluster i)
-               ~on_restart:(fun i ->
-                 incr restarts;
-                 Cluster.restart_replica cluster i)
-               ~on_step:(fun a ->
-                 Log.debug (fun m -> m "nemesis: %a" Sim.Fault.pp_action a))
-               plan))
+          spawn_nemesis cluster ~seed ~crashes ~restarts
+            (Sim.Fault.random_plan nrng ~nodes:replicas ()))
         clusters;
       Shard.run dep ~duration ();
       (* Freeze the drivers (each finishes its in-flight 2PC), then quiesce

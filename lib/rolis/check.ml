@@ -44,28 +44,31 @@ end
 let alive_replicas cluster =
   Array.to_list (Cluster.replicas cluster) |> List.filter Replica.is_alive
 
-(* A replica's committed journal keyed by absolute (stream, idx). Under
-   checkpoint truncation journals are no longer prefixes from zero —
-   different replicas retain different windows — so agreement compares
-   entries at overlapping absolute slots, never by list position. *)
-let stream_logs r =
-  let tbl : (int * int, Store.Wire.entry) Hashtbl.t = Hashtbl.create 4096 in
-  List.iter
-    (fun (s, idx, e) -> Hashtbl.replace tbl (s, idx) e)
-    (Replica.journal r);
-  tbl
-
-let agreement cluster =
+(* The applied durable history of [cluster]: [f] sees every transaction
+   of its alive replicas' journal union that the failover rule counts
+   ({!Replica.applied_txns}). Valid once the cluster has quiesced and
+   drained: only then does the last, unsealed epoch count whole. Returns
+   the union, for audits that also ask which slots it holds. *)
+let iter_applied cluster f =
   let reps = alive_replicas cluster in
-  let logs = List.map (fun r -> (Replica.id r, stream_logs r)) reps in
+  let union = Replica.journal_union reps in
+  let final_w = Replica.final_watermarks reps in
+  Hashtbl.iter (fun _ e -> List.iter f (Replica.applied_txns final_w e)) union;
+  union
+
+(* Journals are compared at absolute (stream, idx) slots, never by list
+   position: under checkpoint truncation different replicas retain
+   different windows. *)
+let agreement cluster =
   let chosen : (int * int, int * Store.Wire.entry) Hashtbl.t =
     Hashtbl.create 4096
   in
   let viols = ref [] and nviol = ref 0 in
   List.iter
-    (fun (id, tbl) ->
-      Hashtbl.iter
-        (fun (s, idx) e ->
+    (fun r ->
+      let id = Replica.id r in
+      List.iter
+        (fun (s, idx, e) ->
           match Hashtbl.find_opt chosen (s, idx) with
           | None -> Hashtbl.replace chosen (s, idx) (id, e)
           | Some (id0, e0) ->
@@ -78,8 +81,8 @@ let agreement cluster =
                       idx id (Oracle.entry_sig e) id0 (Oracle.entry_sig e0)
                     :: !viols
               end)
-        tbl)
-    logs;
+        (Replica.journal r))
+    (alive_replicas cluster);
   List.rev !viols
 
 let watermark_agreement cluster =
@@ -187,35 +190,14 @@ let convergence cluster =
      count means an ack escaped for a transaction that later vanished,
      i.e. a release-visibility violation (§3.3). *)
 let exactly_once cluster ~acked =
-  let reps = alive_replicas cluster in
-  let final_w epoch =
-    List.fold_left
-      (fun acc r ->
-        match acc with Some _ -> acc | None -> Replica.final_watermark r ~epoch)
-      None reps
-  in
-  let union : (int * int, Store.Wire.entry) Hashtbl.t = Hashtbl.create 4096 in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun (s, idx, e) -> Hashtbl.replace union (s, idx) e)
-        (Replica.journal r))
-    reps;
   let counts : (int * int, int) Hashtbl.t = Hashtbl.create 4096 in
   let bump key =
     let cur = match Hashtbl.find_opt counts key with Some c -> c | None -> 0 in
     Hashtbl.replace counts key (cur + 1)
   in
-  Hashtbl.iter
-    (fun _ (e : Store.Wire.entry) ->
-      let w = match final_w e.epoch with Some w -> w | None -> max_int in
-      List.iter
-        (fun (txn : Store.Wire.txn_log) ->
-          match txn.Store.Wire.req with
-          | Some key when txn.Store.Wire.ts <= w -> bump key
-          | Some _ | None -> ())
-        e.txns)
-    union;
+  let union =
+    iter_applied cluster (fun txn -> Option.iter bump txn.Store.Wire.req)
+  in
   (* Slots truncated from every surviving journal: the coordinator
      harvested their request keys before the drop (already filtered by
      the final-watermark rule at harvest time). Counted only when absent
@@ -273,41 +255,17 @@ let exactly_once cluster ~acked =
      [ots <= 0] (setup record or absent) is always consistent with
      [exp = 0]. *)
 let snapshot_reads cluster =
-  let reps = alive_replicas cluster in
-  let final_w epoch =
-    List.fold_left
-      (fun acc r ->
-        match acc with Some _ -> acc | None -> Replica.final_watermark r ~epoch)
-      None reps
-  in
-  let union : (int * int, Store.Wire.entry) Hashtbl.t = Hashtbl.create 4096 in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun (s, idx, e) -> Hashtbl.replace union (s, idx) e)
-        (Replica.journal r))
-    reps;
-  (* Applied write timestamps per (table, key), descending order not
-     needed — we only ever take the max below a pin. *)
+  (* Applied write timestamps per (table, key), in no particular order —
+     we only ever take the max below a pin. *)
   let writes : (int * string, int list) Hashtbl.t = Hashtbl.create 4096 in
-  Hashtbl.iter
-    (fun _ (e : Store.Wire.entry) ->
-      let w = match final_w e.epoch with Some w -> w | None -> max_int in
-      List.iter
-        (fun (txn : Store.Wire.txn_log) ->
-          if txn.Store.Wire.ts <= w then
-            List.iter
-              (fun (wr : Store.Wire.write) ->
-                let key = (wr.Store.Wire.table, wr.Store.Wire.key) in
-                let cur =
-                  match Hashtbl.find_opt writes key with
-                  | Some l -> l
-                  | None -> []
-                in
-                Hashtbl.replace writes key (txn.Store.Wire.ts :: cur))
-              txn.Store.Wire.writes)
-        e.txns)
-    union;
+  ignore
+    (iter_applied cluster (fun txn ->
+         List.iter
+           (fun (wr : Store.Wire.write) ->
+             let key = (wr.Store.Wire.table, wr.Store.Wire.key) in
+             let cur = Option.value ~default:[] (Hashtbl.find_opt writes key) in
+             Hashtbl.replace writes key (txn.Store.Wire.ts :: cur))
+           txn.Store.Wire.writes));
   let truncated =
     Array.exists (fun c -> c >= 0) (Cluster.trunc_frontier cluster)
   in
@@ -351,7 +309,7 @@ let snapshot_reads cluster =
                     (Replica.id r) pin table key ots)
             obs)
         (Replica.read_audits r))
-    reps;
+    (alive_replicas cluster);
   List.rev !viols
 
 (* Cross-shard 2PC audit over the decision marks the journals carry
@@ -482,53 +440,37 @@ let cross_shard_marks marks =
    could drop decision-carrying slots from every journal. *)
 let cross_shard clusters =
   let durable_marks cluster =
-    let reps = alive_replicas cluster in
-    let final_w epoch =
-      List.fold_left
-        (fun acc r ->
-          match acc with Some _ -> acc | None -> Replica.final_watermark r ~epoch)
-        None reps
-    in
-    let union : (int * int, Store.Wire.entry) Hashtbl.t = Hashtbl.create 4096 in
-    List.iter
-      (fun r ->
-        List.iter
-          (fun (s, idx, e) -> Hashtbl.replace union (s, idx) e)
-          (Replica.journal r))
-      reps;
     let acc = ref [] in
-    Hashtbl.iter
-      (fun _ (e : Store.Wire.entry) ->
-        let w = match final_w e.epoch with Some w -> w | None -> max_int in
-        List.iter
-          (fun (txn : Store.Wire.txn_log) ->
-            match txn.Store.Wire.decision with
-            | Some d when txn.Store.Wire.ts <= w -> acc := d :: !acc
-            | Some _ | None -> ())
-          e.txns)
-      union;
+    ignore
+      (iter_applied cluster (fun txn ->
+           Option.iter (fun d -> acc := d :: !acc) txn.Store.Wire.decision));
     !acc
   in
   cross_shard_marks (Array.map durable_marks clusters)
 
+(* The sum of the integer balances in [table] on replica [r], and how
+   many balances there are not numbers. *)
+let balance_sum r ~table =
+  let sum = ref 0 and bad = ref 0 in
+  Store.Table.iter (Silo.Db.table (Replica.db r) table) (fun _ rec_ ->
+      if not rec_.Store.Record.deleted then
+        match int_of_string_opt rec_.Store.Record.value with
+        | Some v -> sum := !sum + v
+        | None -> incr bad);
+  (!sum, !bad)
+
 let money cluster ~table ~expected =
   alive_replicas cluster
   |> List.filter_map (fun r ->
-         let t = Silo.Db.table (Replica.db r) table in
-         let sum = ref 0 and bad = ref 0 in
-         Store.Table.iter t (fun _ rec_ ->
-             if not rec_.Store.Record.deleted then
-               match int_of_string_opt rec_.Store.Record.value with
-               | Some v -> sum := !sum + v
-               | None -> incr bad);
-         if !bad > 0 then
+         let sum, bad = balance_sum r ~table in
+         if bad > 0 then
            Some
              (violation "money" "replica %d: %d non-numeric balances in %S"
-                (Replica.id r) !bad table)
-         else if !sum <> expected then
+                (Replica.id r) bad table)
+         else if sum <> expected then
            Some
              (violation "money" "replica %d: sum(%S) = %d, expected %d"
-                (Replica.id r) table !sum expected)
+                (Replica.id r) table sum expected)
          else None)
 
 (* Global conservation across a sharded deployment: each shard owns a
@@ -542,14 +484,8 @@ let money_sharded clusters ~table ~expected =
     match alive_replicas cluster with
     | [] -> None
     | r :: _ ->
-        let t = Silo.Db.table (Replica.db r) table in
-        let sum = ref 0 and bad = ref 0 in
-        Store.Table.iter t (fun _ rec_ ->
-            if not rec_.Store.Record.deleted then
-              match int_of_string_opt rec_.Store.Record.value with
-              | Some v -> sum := !sum + v
-              | None -> incr bad);
-        Some (Replica.id r, !sum, !bad)
+        let sum, bad = balance_sum r ~table in
+        Some (Replica.id r, sum, bad)
   in
   let total = ref 0 and viols = ref [] and missing = ref false in
   Array.iteri

@@ -12,7 +12,8 @@
     checkpoint interval, not by history length.
 
     Checkpoints record each record's value and [(epoch, ts)] stamp, so
-    recovery composes with idempotent log replay ({!Bootstrap}): install
+    recovery composes with idempotent log replay
+    ({!Replica.bootstrap_from_checkpoint}): install
     the image, then re-apply the tail through the per-key strictly-newer
     CAS (ARIES-style install-then-replay). The image is {e fuzzy} — rows
     are scanned while replay continues above the watermark — which is

@@ -90,39 +90,18 @@ let stable_frontier t =
    journals — at truncation, and when a rebuilt replica restarts with a
    checkpoint instead of the full journal. Idempotent per slot. *)
 let harvest_upto t ~donors ~cover =
-  let final_w epoch =
-    List.fold_left
-      (fun acc r ->
-        match acc with
-        | Some _ -> acc
-        | None -> Replica.final_watermark r ~epoch)
-      None donors
-  in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun (s, idx, (e : Store.Wire.entry)) ->
-          if idx <= cover.(s) && not (Hashtbl.mem t.harvested (s, idx)) then begin
-            let w =
-              match final_w e.Store.Wire.epoch with
-              | Some w -> w
-              | None -> max_int
-              (* Unsealed epoch: an entry below a checkpoint cover was
-                 consumed whole (last_ts <= the replay watermark), so all
-                 its transactions end up below the eventual final W. *)
-            in
-            let keys =
-              List.filter_map
-                (fun (txn : Store.Wire.txn_log) ->
-                  match txn.Store.Wire.req with
-                  | Some key when txn.Store.Wire.ts <= w -> Some key
-                  | Some _ | None -> None)
-                e.Store.Wire.txns
-            in
-            Hashtbl.replace t.harvested (s, idx) keys
-          end)
-        (Replica.journal r))
-    donors
+  (* An entry below a checkpoint cover was consumed whole (last_ts <= the
+     replay watermark), so an unsealed epoch's transactions all end up
+     below its eventual final W: the failover rule counts them already. *)
+  let final_w = Replica.final_watermarks donors in
+  Hashtbl.iter
+    (fun (s, idx) e ->
+      if idx <= cover.(s) && not (Hashtbl.mem t.harvested (s, idx)) then
+        Hashtbl.replace t.harvested (s, idx)
+          (List.filter_map
+             (fun (txn : Store.Wire.txn_log) -> txn.Store.Wire.req)
+             (Replica.applied_txns final_w e)))
+    (Replica.journal_union donors)
 
 let alive_list t =
   Array.to_list t.replicas |> List.filter Replica.is_alive

@@ -126,8 +126,9 @@ type t = {
           tables listed here must never be range-scanned — see
           {!Store.Table.repr} *)
   archive_entries : bool;
-      (** retain every durable entry in memory — consumed by
-          {!Bootstrap} when seeding a brand-new replica (§4.3) *)
+      (** retain every durable entry in memory — the journals a restarted
+          or brand-new replica is seeded from (§4.3) and the history
+          {!Check} audits *)
   checkpoint_interval : int;
       (** ns between periodic fuzzy checkpoints of below-watermark state;
           [0] disables checkpointing (and therefore journal truncation).

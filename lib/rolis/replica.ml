@@ -165,7 +165,6 @@ let journal t = List.rev t.journal
 let journal_length t = List.length t.journal
 let journal_bytes t = t.journal_bytes
 let truncated_entries t = t.truncated_entries
-let archived_entries t = List.rev_map (fun (_, _, e) -> e) t.journal
 let last_checkpoint t = t.last_ckpt
 let checkpoints_taken t = t.ckpt_count
 let any_trunc_stalled t = Array.exists Paxos.Stream.trunc_stalled t.streams
@@ -1383,52 +1382,71 @@ let crash t =
 
 let final_watermark t ~epoch = Watermark.final_watermark t.wm ~epoch
 
+(* ---- the replicated history ----
+
+   What a set of replicas durably holds, and which of its transactions
+   count as applied: the one reader behind journal rebuild, the
+   coordinator's dedup-evidence harvest and every history audit. *)
+
+(* The union of [reps]' journals keyed by absolute (stream, idx). Paxos
+   agreement makes a slot's entry the same wherever it is held, and
+   per-stream committed logs are prefixes of one another, so per stream
+   the union is the longest log. Under checkpoint truncation journals
+   start above zero; the union of truncated journals is contiguous from
+   the lowest retained slot (every replica drops the same quorum-stable
+   prefix). *)
+let journal_union reps =
+  let union = Hashtbl.create 4096 in
+  List.iter
+    (fun r ->
+      List.iter (fun (s, idx, e) -> Hashtbl.replace union (s, idx) e) (journal r))
+    reps;
+  union
+
+let final_watermarks reps epoch = List.find_map (fun r -> final_watermark r ~epoch) reps
+
+(* The failover rule (§3-4.1): a sealed epoch keeps the transactions at
+   or below its final watermark — the rest were never released and may
+   depend on lost ones (Fig. 3) — and an unsealed epoch keeps them all. *)
+let applied_txns final_w (e : Store.Wire.entry) =
+  match final_w e.Store.Wire.epoch with
+  | None -> e.Store.Wire.txns
+  | Some w ->
+      List.filter (fun (txn : Store.Wire.txn_log) -> txn.Store.Wire.ts <= w) e.txns
+
 (* Journal rebuild, shared by restart catch-up and checkpoint bootstrap:
-   replay the donors' journals of durable entries above [cover] through the
+   replay the donors' journal union above [cover] through the
    protocol-level inject path. Because journals hold only *durable*
    entries — never speculative writes — any alive replica is a safe donor,
    leaders included.
 
-   The rebuilt state must be the per-stream UNION over every alive donor,
-   not one donor's journal: per-stream committed logs are prefixes of one
-   another (Paxos agreement), so per stream the longest donor log is the
-   union. A single donor is not enough — a follower can be ahead on one
-   stream and behind on another, and rebuilding a replica from it would
-   wipe this replica's memory of entries whose only other holder may
-   crash next, letting a future leader no-op-fill released transactions.
+   The union matters, not one donor's journal: a follower can be ahead on
+   one stream and behind on another, and rebuilding a replica from it
+   would wipe this replica's memory of entries whose only other holder
+   may crash next, letting a future leader no-op-fill released
+   transactions.
 
    The injected commits rebuild the watermark, the replay queues, and our
    own journal exactly as if we had followed the streams from the start;
    whatever committed after the donors' snapshots arrives through the
-   ordinary fetch path. Keyed by absolute stream index — under checkpoint
-   truncation a donor's journal starts above zero, and the union of
-   truncated journals is contiguous from the lowest retained slot (every
-   donor drops the same quorum-stable prefix). The stream's compaction
-   floor moves to just above an image's [cover], or with no image
-   ([cover] absent) to the lowest slot any donor still holds. *)
+   ordinary fetch path. The stream's compaction floor moves to just above
+   an image's [cover], or with no image ([cover] absent) to the lowest
+   slot any donor still holds. *)
 let rebuild_from_journals t ?cover ~donors () =
+  let above s = match cover with Some c -> c.(s) | None -> -1 in
+  let slots = Array.make (Array.length t.streams) [] in
+  Hashtbl.iter
+    (fun (s, idx) e -> if idx > above s then slots.(s) <- (idx, e) :: slots.(s))
+    (journal_union donors);
   Array.iteri
     (fun s stream ->
-      let above = match cover with Some c -> c.(s) | None -> -1 in
-      let union = Hashtbl.create 256 in
-      List.iter
-        (fun d ->
-          List.iter
-            (fun (s', idx, e) ->
-              if s' = s && idx > above then Hashtbl.replace union idx e)
-            d.journal)
-        donors;
-      let idxs =
-        Hashtbl.fold (fun i _ acc -> i :: acc) union [] |> List.sort compare
-      in
-      (match (cover, idxs) with
-      | Some _, _ -> Paxos.Stream.set_bootstrap_floor stream ~idx:(above + 1)
-      | None, lo :: _ when lo > 0 -> Paxos.Stream.set_bootstrap_floor stream ~idx:lo
+      let slots = List.sort (fun (a, _) (b, _) -> Int.compare a b) slots.(s) in
+      (match (cover, slots) with
+      | Some _, _ -> Paxos.Stream.set_bootstrap_floor stream ~idx:(above s + 1)
+      | None, (lo, _) :: _ when lo > 0 ->
+          Paxos.Stream.set_bootstrap_floor stream ~idx:lo
       | None, _ -> ());
-      List.iter
-        (fun idx ->
-          Paxos.Stream.inject_committed_at stream ~idx (Hashtbl.find union idx))
-        idxs)
+      List.iter (fun (idx, e) -> Paxos.Stream.inject_committed_at stream ~idx e) slots)
     t.streams;
   (* Also merge every donor's accepted-but-uncommitted tail (as *accepted*
      state, never as committed — acceptance is not choice). An accepted

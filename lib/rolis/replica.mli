@@ -82,8 +82,8 @@ val is_serving : t -> bool
 val served_epoch : t -> int
 val is_tainted : t -> bool
 (** Stepped down after serving: local state may contain speculative writes
-    that were never released; a tainted replica must rejoin via
-    {!Bootstrap} (paper §4.3). *)
+    that were never released; a tainted replica must be rebuilt from
+    its peers' journals ({!Cluster.restart_replica}). *)
 
 val replay_epoch : t -> int
 val replay_watermark : t -> int
@@ -137,10 +137,6 @@ val session_state : t -> cid:int -> (int * int) option
     client session [cid] — from its own execution on a leader, from
     replay on a follower. [None] if the session is unknown. *)
 
-val archived_entries : t -> Store.Wire.entry list
-(** Every durable entry, in durability order, when the cluster was built
-    with [archive_entries = true] (for {!Bootstrap}). *)
-
 val journal : t -> (int * int * Store.Wire.entry) list
 (** [(stream, idx, entry)] triples in durability order (requires
     [archive_entries]); the donor data for {!catch_up_from}. The absolute
@@ -159,6 +155,31 @@ val truncated_entries : t -> int
 
 val final_watermark : t -> epoch:int -> int option
 (** The sealed final watermark of [epoch], once known on this replica. *)
+
+(** {2 Replicated history}
+
+    The one reader of what a set of replicas durably applied: journal
+    rebuild ({!catch_up_from}, {!bootstrap_from_checkpoint}), the
+    coordinator's dedup-evidence harvest and every {!Check} history audit
+    fold over these. *)
+
+val journal_union : t list -> (int * int, Store.Wire.entry) Hashtbl.t
+(** The union of the replicas' {!journal}s keyed by absolute
+    [(stream, idx)] (requires [archive_entries]). Agreement makes a
+    slot's entry the same on every replica holding it, so per stream the
+    union is the longest durable log any of them retains. *)
+
+val final_watermarks : t list -> int -> int option
+(** [final_watermarks reps epoch]: the final watermark of [epoch] on the
+    first replica of [reps] that sealed it — the lookup
+    {!applied_txns} takes. *)
+
+val applied_txns :
+  (int -> int option) -> Store.Wire.entry -> Store.Wire.txn_log list
+(** The failover rule (§3–4.1), given an epoch → final-watermark lookup:
+    the transactions of the entry that count as applied. A sealed epoch
+    keeps those with [ts <= W]; an unsealed epoch keeps every one (sound
+    once the cluster has quiesced and drained). Pure. *)
 
 val crash : t -> unit
 (** Kill every process of this replica (crash-stop). The caller is

@@ -32,9 +32,6 @@ module Ivar = struct
         in
         flush ()
 
-  let is_filled t = t.value <> None
-  let peek t = t.value
-
   let read t =
     match t.value with
     | Some v -> v
@@ -96,15 +93,9 @@ module Mutex = struct
 
   let create eng = { eng; held = false; waiters = Queue.create () }
 
-  let try_lock t =
-    if t.held then false
-    else begin
-      t.held <- true;
-      true
-    end
-
   let lock t =
-    if not (try_lock t) then
+    if not t.held then t.held <- true
+    else
       Engine.suspend (fun ~wake ->
           Queue.add { active = true; deliver = deferred_wake t.eng wake } t.waiters)
 
@@ -113,12 +104,6 @@ module Mutex = struct
     match claim_waiter t.waiters with
     | Some w -> w.deliver () (* ownership transfers to the waiter *)
     | None -> t.held <- false
-
-  let is_locked t = t.held
-
-  let with_lock t f =
-    lock t;
-    Fun.protect ~finally:(fun () -> unlock t) f
 end
 
 module Condition = struct
@@ -131,8 +116,6 @@ module Condition = struct
         Queue.add { active = true; deliver = deferred_wake t.eng wake } t.waiters;
         Mutex.unlock mu);
     Mutex.lock mu
-
-  let signal t = match claim_waiter t.waiters with Some w -> w.deliver () | None -> ()
 
   let broadcast t =
     let rec flush () =
@@ -156,15 +139,9 @@ module Semaphore = struct
     if count < 0 then invalid_arg "Semaphore.create: negative count";
     { eng; count; waiters = Queue.create () }
 
-  let try_acquire t =
-    if t.count > 0 then begin
-      t.count <- t.count - 1;
-      true
-    end
-    else false
-
   let acquire t =
-    if not (try_acquire t) then
+    if t.count > 0 then t.count <- t.count - 1
+    else
       Engine.suspend (fun ~wake ->
           Queue.add { active = true; deliver = deferred_wake t.eng wake } t.waiters)
 
@@ -172,8 +149,6 @@ module Semaphore = struct
     match claim_waiter t.waiters with
     | Some w -> w.deliver () (* the permit transfers directly *)
     | None -> t.count <- t.count + 1
-
-  let value t = t.count
 end
 
 module Waitgroup = struct

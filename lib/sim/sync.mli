@@ -3,7 +3,7 @@
     All blocking operations must be called from inside a process spawned on
     the engine the primitive was created with. Wakeups are delivered
     through the event queue (never synchronously inside the waker), so a
-    [send]/[signal]/[fill] never yields the calling process. *)
+    [send]/[broadcast]/[fill] never yields the calling process. *)
 
 module Ivar : sig
   (** Write-once cell ("future"). *)
@@ -14,8 +14,6 @@ module Ivar : sig
   val fill : 'a t -> 'a -> unit
   (** @raise Invalid_argument if already filled. *)
 
-  val is_filled : 'a t -> bool
-  val peek : 'a t -> 'a option
   val read : 'a t -> 'a
   (** Blocks until filled. *)
 end
@@ -45,10 +43,7 @@ module Mutex : sig
 
   val create : Engine.t -> t
   val lock : t -> unit
-  val try_lock : t -> bool
   val unlock : t -> unit
-  val is_locked : t -> bool
-  val with_lock : t -> (unit -> 'a) -> 'a
 end
 
 module Condition : sig
@@ -59,7 +54,6 @@ module Condition : sig
   (** Atomically releases the mutex and waits; re-acquires before
       returning. *)
 
-  val signal : t -> unit
   val broadcast : t -> unit
 end
 
@@ -68,9 +62,7 @@ module Semaphore : sig
 
   val create : Engine.t -> int -> t
   val acquire : t -> unit
-  val try_acquire : t -> bool
   val release : t -> unit
-  val value : t -> int
 end
 
 module Waitgroup : sig

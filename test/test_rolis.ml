@@ -287,6 +287,20 @@ let table_state db name =
       if not r.Store.Record.deleted then acc := (k, r.Store.Record.value) :: !acc);
   List.rev !acc
 
+(* Apply log entries to [dst] through the replay CAS; returns the
+   key-applies that won. Must run inside a process. *)
+let replay_into ~dst entries =
+  let applied = ref 0 in
+  List.iter
+    (fun (entry : Store.Wire.entry) ->
+      List.iter
+        (fun (txn : Store.Wire.txn_log) ->
+          Silo.Db.apply_replay dst txn ~epoch:entry.Store.Wire.epoch
+            ~writes:(List.length txn.Store.Wire.writes) ~applied)
+        entry.Store.Wire.txns)
+    entries;
+  !applied
+
 (* ---------- end-to-end ---------- *)
 
 let test_basic_release () =
@@ -645,42 +659,32 @@ let test_single_stream_mode () =
   Rolis.Cluster.run cluster ~warmup:(200 * ms) ~duration:(1 * s) ();
   check_bool "strawman releases transactions" true (Rolis.Cluster.released cluster > 500)
 
+(* Adding a replica without snapshots (paper §4.3): a dark spare joins
+   under load through the cluster's one add path — a learner seeded from
+   the journal union, no checkpoint — is promoted to voter, and after the
+   drain matches its peers exactly. *)
 let test_bootstrap_new_replica () =
   let stopped = ref false in
   let accounts = 30 in
-  let cfg = { (test_cfg ()) with Rolis.Config.archive_entries = true } in
-  let app = transfer_app ~accounts ~initial:200 ~stopped in
-  let cluster = Rolis.Cluster.create cfg app in
+  let cfg =
+    { (test_cfg ()) with Rolis.Config.archive_entries = true; spare_replicas = 1 }
+  in
+  let cluster =
+    Rolis.Cluster.create cfg (transfer_app ~accounts ~initial:200 ~stopped)
+  in
   let eng = Rolis.Cluster.engine cluster in
-  (* The new replica's empty machine. *)
-  let new_cpu = Sim.Cpu.create eng ~cores:8 () in
-  let new_db = Silo.Db.create eng new_cpu ~costs:test_costs ~physical_deletes:false () in
-  let sync_done = ref false in
-  (* Start the asynchronous pull while the cluster is under load. *)
-  Sim.Engine.schedule eng (500 * ms) (fun () ->
-      ignore
-        (Sim.Engine.spawn eng ~name:"bootstrap" (fun () ->
-             let src = Rolis.Cluster.replica cluster 1 in
-             let rows, applies = Rolis.Bootstrap.sync_new_replica ~src ~dst:new_db () in
-             check_bool "copied rows" true (rows >= accounts);
-             ignore applies;
-             sync_done := true)));
+  let added = ref false in
+  ignore
+    (Sim.Engine.spawn eng ~name:"add-op" (fun () ->
+         Sim.Engine.sleep (500 * ms);
+         added := Rolis.Cluster.add_replica cluster 3));
   Rolis.Cluster.run cluster ~duration:(1 * s) ();
   stopped := true;
   Rolis.Cluster.run cluster ~duration:(1 * s) ();
-  check_bool "sync completed" true !sync_done;
-  (* Top up with everything the source has made durable since, then the
-     new replica must match the source exactly (idempotent replay). *)
-  let finished = ref false in
-  ignore
-    (Sim.Engine.spawn eng (fun () ->
-         let src = Rolis.Cluster.replica cluster 1 in
-         ignore
-           (Rolis.Bootstrap.replay_entries ~dst:new_db
-              (Rolis.Replica.archived_entries src));
-         finished := true));
-  Rolis.Cluster.run cluster ~duration:(1 * s) ();
-  check_bool "top-up ran" true !finished;
+  check_bool "add completed" true !added;
+  check_bool "new replica is a voter" true (List.mem 3 (Rolis.Cluster.members cluster));
+  check_int "no checkpoint involved" 0 (Rolis.Cluster.checkpoints_taken cluster);
+  let new_db = Rolis.Replica.db (Rolis.Cluster.replica cluster 3) in
   check_int "money conserved on the new replica" (accounts * 200)
     (total_money new_db ~accounts);
   let src_db = Rolis.Replica.db (Rolis.Cluster.replica cluster 1) in
@@ -1382,7 +1386,7 @@ let test_checkpoint_plus_log_replay () =
         let fresh = Silo.Db.create eng cpu ~physical_deletes:false () in
         Rolis.Checkpoint.recover ~into:fresh img;
         let applied =
-          Rolis.Bootstrap.replay_entries ~dst:fresh
+          replay_into ~dst:fresh
             [ Store.Wire.make_entry ~epoch:1 log ]
         in
         check_int "all log writes won" 50 applied;
@@ -1508,17 +1512,17 @@ let checkpoint_fuzzy_tail_qcheck =
              (* The image is taken after some prefix of the history. *)
              let a = fresh_db () in
              if prefix <> [] then
-               ignore (Rolis.Bootstrap.replay_entries ~dst:a [ entry prefix ]);
+               ignore (replay_into ~dst:a [ entry prefix ]);
              let img = Rolis.Checkpoint.write a ~live_only:false () in
              (* Recovery: install, then replay the FULL history — the overlap
                 with the image double-applies through the strictly-newer CAS
                 and must be harmless. *)
              let b = Silo.Db.create eng cpu ~physical_deletes:false () in
              ignore (Rolis.Checkpoint.install ~into:b img);
-             ignore (Rolis.Bootstrap.replay_entries ~dst:b [ entry log ]);
+             ignore (replay_into ~dst:b [ entry log ]);
              (* Reference: crash-free execution of the same history. *)
              let c = fresh_db () in
-             ignore (Rolis.Bootstrap.replay_entries ~dst:c [ entry log ]);
+             ignore (replay_into ~dst:c [ entry log ]);
              ok := stamp_dump b = stamp_dump c));
       Sim.Engine.run eng;
       !ok)
@@ -2371,6 +2375,46 @@ let test_stats_window_excludes_prewarmup () =
   check_int "surviving sample is the post-window one" (30 * ms)
     (Sim.Metrics.Hist.percentile (Rolis.Stats.latency st) 50.0)
 
+(* ---------- replicated history ---------- *)
+
+let wire_txn ts = { Store.Wire.ts; req = None; decision = None; writes = [] }
+let txn_stamps txns = List.map (fun (t : Store.Wire.txn_log) -> t.Store.Wire.ts) txns
+
+(* The failover rule over one entry: a sealed epoch cuts a straddling
+   entry at its final watermark W, keeping [ts = W]; an unsealed epoch
+   keeps every transaction. *)
+let test_applied_txns_final_watermark () =
+  let final_w epoch = if epoch = 1 then Some 20 else None in
+  let entry epoch =
+    Store.Wire.make_entry ~epoch (List.map wire_txn [ 10; 20; 21; 30 ])
+  in
+  Alcotest.(check (list int)) "sealed epoch: straddler cut at W, ts = W kept"
+    [ 10; 20 ] (txn_stamps (Rolis.Replica.applied_txns final_w (entry 1)));
+  Alcotest.(check (list int)) "unsealed epoch keeps every transaction"
+    [ 10; 20; 21; 30 ] (txn_stamps (Rolis.Replica.applied_txns final_w (entry 2)));
+  Alcotest.(check (list int)) "entry wholly above W contributes nothing" []
+    (txn_stamps
+       (Rolis.Replica.applied_txns final_w
+          (Store.Wire.make_entry ~epoch:1 (List.map wire_txn [ 21; 22 ]))))
+
+(* The exactly-once audit is not vacuous: an ack for a request no durable
+   transaction carries is reported as a lost released result. *)
+let test_exactly_once_reports_lost_ack () =
+  let cfg = { (test_cfg ()) with Rolis.Config.archive_entries = true } in
+  let cluster = Rolis.Cluster.create cfg (Rolis.App.counter_app ~keys:100) in
+  Rolis.Cluster.run cluster ~duration:(300 * ms) ();
+  check_bool "history is non-empty" true (Rolis.Cluster.released cluster > 0);
+  check_int "nothing acked, nothing lost" 0
+    (List.length (Rolis.Check.exactly_once cluster ~acked:[]));
+  match Rolis.Check.exactly_once cluster ~acked:[ (7, 1) ] with
+  | [ v ] ->
+      Alcotest.(check string) "check" "exactly-once" v.Rolis.Check.check;
+      Alcotest.(check string) "names the lost request"
+        "acked request (client 7, seq 1) is not in the applied durable log \
+         (released result lost)"
+        v.Rolis.Check.detail
+  | vs -> Alcotest.failf "expected one violation, got %d" (List.length vs)
+
 (* ---------- chaos outcome golden ---------- *)
 
 (* [Chaos.pp_outcome] lines for seeds 1-3 of each CI chaos mode, with the
@@ -2578,6 +2622,13 @@ let () =
         [
           Alcotest.test_case "window excludes pre-warm-up latency" `Quick
             test_stats_window_excludes_prewarmup;
+        ] );
+      ( "history",
+        [
+          Alcotest.test_case "final-watermark rule" `Quick
+            test_applied_txns_final_watermark;
+          Alcotest.test_case "exactly-once reports a lost ack" `Quick
+            test_exactly_once_reports_lost_ack;
         ] );
       ( "chaos",
         [ Alcotest.test_case "outcome golden" `Quick test_chaos_outcome_golden ] );
